@@ -3,6 +3,7 @@
     python3 -m pytest -q perfbench
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import run
 import tracer
 import workloads
-from workloads import Outcome
+from workloads import Outcome, VerifyGrid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,30 +100,57 @@ def test_wrappers_restore_on_error(mods):
     assert patched_names(mods) == before
 
 
-def cell(label, mods, s=1, pinned=None):
-    wl = workloads.S2()
-    spec = next(c for c in workloads.PRESET if c[0] == label)
-    if pinned is not None:
-        spec = spec[:5] + (pinned,)
-    wl.cells = lambda: [spec]
-    return wl.build(mods, wl.make_rings(mods, s=s), 0)["cells"][0]
+def cell(label, mods, **changes):
+    """The CLI's preset cell `label`, with fields replaced."""
+    c = next(c for c in mods.cli._grid_cells("all") if c.label == label)
+    return dataclasses.replace(c, **changes)
+
+
+def verify_rows(mods, *cells):
+    return {"cells": [mods.cli._run_cell(c, None) for c in cells]}
 
 
 def test_unstable_cell_counts_as_failure(mods):
     out = Outcome()
-    workloads.run_cell(mods, cell("H2(2) x H1(1)", mods), out)
+    VerifyGrid.account(verify_rows(mods, cell("H2(2) x H1(1)", mods)), 3,
+                       out)
     assert (out.attempted, out.failed, out.matched) == (1, 1, 0)
     assert out.mismatches == []
-    assert out.failures == {"increase precision": 1}
+    assert out.failures == {"unstable: increase precision": 1}
 
 
 def test_wrong_reading_is_a_mismatch(mods):
+    fixture = cell("fixture T x T+T^3", mods)
     out = Outcome()
-    workloads.run_cell(mods, cell("fixture T x T+T^3", mods), out)
+    VerifyGrid.account(verify_rows(mods, fixture), 0, out)
     assert (out.matched, out.mismatches) == (1, [])
-    workloads.run_cell(mods, cell("fixture T x T+T^3", mods,
-                                  pinned=(3, "H_2")), out)
+    wrong = dataclasses.replace(fixture, pinned=(3, fixture.pinned[1]))
+    VerifyGrid.account(verify_rows(mods, wrong), 2, out)
     assert len(out.mismatches) == 1 and out.failed == 0
+
+
+def test_s2_cells_are_the_cli_preset_reringed(mods):
+    s2 = workloads.WORKLOADS["s2"]
+    preset = mods.cli._grid_cells("all")
+    cells = s2.cells(mods)
+    assert [c.label for c in cells] == [
+        c.label for c in preset if c.label not in workloads.S2_EXCLUDED]
+    assert len(cells) == len(preset) - len(workloads.S2_EXCLUDED) == 17
+    assert {c.ring_args[2] for c in cells} == {2}
+
+
+def test_verify_grid_times_each_cell(mods, monkeypatch):
+    wl = VerifyGrid("t", 2)
+    labels = ("fixture T x T+T^3", "etale(-5) x etale(-2)")
+    monkeypatch.setattr(wl, "cells", lambda mods: [
+        cell(label, mods, ring_args=(3, 3, 2, 4)) for label in labels])
+    run_cell = mods.cli._run_cell
+    out = Outcome()
+    wl.run(wl.build(mods, wl.make_rings(mods), 5), 0, out, passes=2)
+    assert (out.attempted, out.matched, out.mismatches) == (4, 4, [])
+    assert len(out.op_s) == 4 and len(out.pass_s) == 2
+    assert out.pass_s[0] == pytest.approx(sum(out.op_s[:2]))
+    assert mods.cli._run_cell is run_cell
 
 
 @pytest.mark.parametrize("terms1, terms2, field", [
@@ -150,11 +178,11 @@ def test_grid_report_accounting():
         {"case": "c", "status": "mismatch"},
     ]}
     out = Outcome()
-    workloads.Grid.account(report, 2, out)
+    VerifyGrid.account(report, 2, out)
     assert (out.attempted, out.matched, out.failed) == (3, 1, 1)
     assert [m["case"] for m in out.mismatches] == ["c"]
     clean = Outcome()
-    workloads.Grid.account({"cells": report["cells"][:2]}, 3, clean)
+    VerifyGrid.account({"cells": report["cells"][:2]}, 3, clean)
     assert clean.mismatches == [] and clean.failed == 1
 
 

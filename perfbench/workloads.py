@@ -16,6 +16,7 @@ patches are seen.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import importlib
 import io
@@ -65,8 +66,8 @@ def load_program(root: Path):
 
 @dataclass
 class Outcome:
-    """What one run did.  A timed op is one pair (etale-pairs) or one whole
-    pass (grid, s2); attempted and failed count pairs and cells."""
+    """What one run did.  A timed op is one pair (etale-pairs) or one cell
+    (grid, s2); attempted and failed count pairs and cells."""
 
     pass_s: list = field(default_factory=list)     # op seconds per pass
     op_s: list = field(default_factory=list)       # seconds per timed op
@@ -135,47 +136,6 @@ def _timed(out: Outcome, fn, *args):
     return result, dt
 
 
-# ---------------------------------------------------------------------------
-# preset cells (mirrors `germrh verify --grid all`)
-# ---------------------------------------------------------------------------
-
-# (p, r, M) per ring; s is chosen per workload
-R33, R93, R55 = (3, 3, 4), (3, 9, 4), (5, 5, 4)
-ET5, ET2 = ("Etale", {-5: 1}, None), ("Etale", {-2: 1}, None)
-MU2, MU4 = ("Kummer", {0: 1, 2: 1}, None), ("Kummer", {0: 1, 4: 1}, None)
-H1, H2 = ("Hn", {1: 1, 2: 1}, 1), ("Hn", {2: 1, 3: 1}, 2)
-H3, H6 = ("Hn", {1: 1, 2: 1}, 3), ("Hn", {2: 1, 3: 1}, 6)
-
-# label, ring, eq1, eq2, oracle window (None: oracle default), pinned
-# (m, tag) where no closed form applies
-PRESET = (
-    ("etale(-5) x etale(-2)", R33, ET5, ET2, 60, None),
-    ("etale(-2) x mu(2)", R33, ET2, MU2, 60, None),
-    ("etale(-2) x H1(1)", R33, ET2, H1, 60, None),
-    ("mu(2) x mu(4)", R33, MU2, MU4, 60, None),
-    ("mu(2) x H1(1)", R33, MU2, H1, 60, None),
-    ("H1(1) x H2(2)", R33, H1, H2, 60, None),
-    ("fixture T x T+T^3", R33, ("Kummer", {1: 1}, None),
-     ("Kummer", {1: 1, 3: 1}, None), 60, (2, "H_2")),
-    ("etale(-2) x etale(-5)", R33, ET2, ET5, 60, None),
-    ("mu(2) x etale(-2)", R33, MU2, ET2, 60, None),
-    ("H1(1) x etale(-2)", R33, H1, ET2, 60, None),
-    ("mu(4) x mu(2)", R33, MU4, MU2, 60, None),
-    ("H1(1) x mu(2)", R33, H1, MU2, 60, None),
-    ("H2(2) x H1(1)", R33, H2, H1, 60, None),
-    ("mu(4) x H1(1)", R33, MU4, H1, 60, None),
-    ("H1(1) x mu(4)", R33, H1, MU4, 60, None),
-    ("deep mu(2) x mu(4)", R93, MU2, MU4, 60, None),
-    ("deep mu(2) x H3(1)", R93, MU2, H3, 60, None),
-    ("deep H3(1) x H6(2)", R93, H3, H6, 60, None),
-    ("deep etale(-2) x H3(1)", R93, ET2, H3, 60, None),
-    ("p5 etale(-4) x etale(-2)", R55, ("Etale", {-4: 1}, None), ET2, None,
-     None),
-    ("p5 etale(-2) x mu(2)", R55, ET2, MU2, None, None),
-    ("p5 mu(2) x mu(3)", R55, MU2, ("Kummer", {0: 1, 3: 1}, None), None,
-     None),
-)
-
 # Cells left out of `s2` because one of them alone takes minutes at s = 2
 # (seconds at s = 1, see the grid timings in README.md).
 S2_EXCLUDED = {
@@ -191,61 +151,70 @@ S2_EXCLUDED = {
 # workloads
 # ---------------------------------------------------------------------------
 
-class Grid:
-    """`germrh verify --grid all` in-process through cli.main.
+class VerifyGrid:
+    """`germrh verify --grid all --json` in-process through cli.main.
 
-    The seed permutes the preset's cell order and nothing else.  The cells
-    run serially (GERMRH_THREADS=1 for the duration of the run): on the
-    2-core shared machine the shipped 2-thread pool made the pass time wander
-    44-63 s between identical runs while its CPU time stayed within 40-46 s,
-    the difference being GIL hand-off waits, and no bound could hold that.
+    The cells are the CLI's own preset (`cli._grid_cells("all")`), minus
+    `excluded` and re-ringed to GR(p^M, s); the run patches
+    `cli._grid_cells` to return them in the seed's order, which is all the
+    seed changes.  Each cell (`cli._run_cell`) is one timed op.
+
+    The cells run serially (GERMRH_THREADS=1 for the duration of the run):
+    on the 2-core shared machine the shipped 2-thread pool made the pass
+    time wander 44-63 s between identical runs while its CPU time stayed
+    within 40-46 s, the difference being GIL hand-off waits, and no bound
+    could hold that.
     """
 
     threads = "1"
 
-    name = "grid"
-    tail_pct = 100   # one op per pass: the tail is the slowest pass
+    def __init__(self, name: str, s: int = 1, excluded=(), tail_pct=100):
+        self.name, self.s, self.excluded = name, s, excluded
+        self.tail_pct = tail_pct
+
+    def cells(self, mods) -> list:
+        return [dataclasses.replace(c, ring_args=(p, r, self.s, M))
+                for c in mods.cli._grid_cells("all")
+                if c.label not in self.excluded
+                for p, r, _, M in [c.ring_args]]
 
     def make_rings(self, mods):
-        return [mods.dvr_core.make_ring(p, r, 1, M) for p, r, M in
-                (R33, R93, R55)]
+        return {c.ring_args: mods.dvr_core.make_ring(*c.ring_args)
+                for c in self.cells(mods)}
 
     def build(self, mods, rings, seed: int):
-        n = len(mods.cli._grid_cells("all"))
-        order = list(range(n))
-        random.Random(seed).shuffle(order)
-        return {"mods": mods, "order": order}
+        cells = self.cells(mods)
+        random.Random(seed).shuffle(cells)
+        return {"mods": mods, "cells": cells}
 
     def run(self, inputs, seconds: float, out: Outcome, passes=None):
-        mods, order = inputs["mods"], inputs["order"]
-        cli = mods.cli
-        original = cli._grid_cells
+        cli, cells = inputs["mods"].cli, inputs["cells"]
+        grid_cells, run_cell = cli._grid_cells, cli._run_cell
 
-        def permuted(preset):
-            cells = original(preset)
-            return [cells[i] for i in order] if len(cells) == len(order) \
-                else cells
+        def timed_cell(cell, window):
+            row, dt = _timed(out, run_cell, cell, window)
+            out.op_s.append(dt)
+            return row
 
         def one_pass():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code, dt = _timed(out, cli.main,
-                                  ["verify", "--grid", "all", "--json"])
-            out.op_s.append(dt)
+                code = cli.main(["verify", "--grid", "all", "--json"])
             self.account(json.loads(buf.getvalue()), code, out)
 
         threads = os.environ.get("GERMRH_THREADS")
-        cli._grid_cells = permuted
+        cli._grid_cells = lambda preset: list(cells)
+        cli._run_cell = timed_cell
         os.environ["GERMRH_THREADS"] = self.threads
         try:
             _repeat(seconds, passes, one_pass, out)
         finally:
-            cli._grid_cells = original
+            cli._grid_cells, cli._run_cell = grid_cells, run_cell
             if threads is None:
                 del os.environ["GERMRH_THREADS"]
             else:
                 os.environ["GERMRH_THREADS"] = threads
-        out.notes["cell_order"] = order
+        out.notes["cell_order"] = [c.label for c in cells]
         out.notes["grid_threads"] = self.threads
 
     @staticmethod
@@ -264,83 +233,6 @@ class Grid:
                 out.mismatches.append({"case": row["case"], "row": row})
         if code not in (0, 3) and not out.mismatches:
             out.mismatches.append({"case": "exit code", "row": code})
-
-
-class S2:
-    """The light preset cells re-ringed to s = 2, i.e. over GR(p^4, 2).
-
-    Each cell is run as `germrh verify` runs a grid cell: classify both
-    covers, read the closed form, run the oracle and compare.  As on grid,
-    the op is the whole set of cells: the median cell takes ~45 ms, and its
-    time moved by up to 40 % between runs as the shared cores changed
-    speed, against ~25 % for the whole set.  The seed permutes the order.
-    """
-
-    name = "s2"
-    tail_pct = 100   # the slowest pass
-    s = 2
-
-    def cells(self):
-        return [c for c in PRESET if c[0] not in S2_EXCLUDED]
-
-    def make_rings(self, mods, s: int | None = None):
-        s = self.s if s is None else s
-        return {(p, r, M): mods.dvr_core.make_ring(p, r, s, M)
-                for _, (p, r, M), *_ in self.cells()}
-
-    def build(self, mods, rings, seed: int):
-        built = []
-        for label, key, spec1, spec2, window, pinned in self.cells():
-            ring = rings[key]
-            eq_window = max(60, window or 0)
-            built.append((label, ring,
-                          cell_equation(mods, ring, spec1, eq_window),
-                          cell_equation(mods, ring, spec2, eq_window),
-                          window, pinned))
-        random.Random(seed).shuffle(built)
-        return {"mods": mods, "cells": built}
-
-    def run(self, inputs, seconds: float, out: Outcome, passes=None):
-        mods = inputs["mods"]
-
-        def one_pass():
-            for cell in inputs["cells"]:
-                _timed(out, run_cell, mods, cell, out)
-            out.op_s.append(out.pass_s[-1])
-
-        _repeat(seconds, passes, one_pass, out)
-
-
-def cell_equation(mods, ring, spec: tuple, window: int):
-    """The CLI's own equation builder, so its precision policy applies."""
-    kind, terms, n = spec
-    cover = mods.cli.CoverSpec(
-        line=0, kind=kind, terms=tuple((e, c, 0) for e, c in terms.items()),
-        n=n)
-    return mods.cli.build_equation(cover, ring, window)
-
-
-def run_cell(mods, cell, out: Outcome):
-    label, ring, eq1, eq2, window, pinned = cell
-    out.attempted += 1
-    try:
-        if pinned is not None:
-            want = pinned
-        else:
-            res = mods.pp_propagation.propagate(mods.pp_propagation.PPInput(
-                mods.torsor_norm.classify(eq1),
-                mods.torsor_norm.classify(eq2), ring))
-            want = (res.m1p, None if res.g1p is None else str(res.g1p))
-        got_m, got_tag = mods.oracle.oracle_conductor(eq1, eq2, hi=window)
-    except ValueError as err:
-        out.fail(failure_reason(err))
-        return
-    ok = got_m == want[0] and (want[1] is None or str(got_tag) == want[1])
-    if ok:
-        out.matched += 1
-    else:
-        out.mismatches.append({"case": label, "want": list(want),
-                               "got": [got_m, str(got_tag)]})
 
 
 class EtalePairs:
@@ -362,7 +254,7 @@ class EtalePairs:
 
     name = "etale-pairs"
     tail_pct = 75
-    rings = (R33, R93, R55)
+    rings = ((3, 3, 4), (3, 9, 4), (5, 5, 4))   # (p, r, M)
     window = 30
     leads = tuple(range(-8, 0))
     generator_seed = 0
@@ -449,4 +341,8 @@ def run_pair(mods, ring, terms1, terms2, window, out: Outcome) -> bool:
                                "got": [got[0], str(got[1])]})
     return True
 
-WORKLOADS = {w.name: w for w in (Grid(), EtalePairs(), S2())}
+# grid makes one pass, so its tail is the slowest cell; s2 makes 4-6
+# passes over 17 cells, so p85 leaves 10-15 samples beyond it.
+WORKLOADS = {w.name: w for w in (
+    VerifyGrid("grid"), EtalePairs(),
+    VerifyGrid("s2", 2, S2_EXCLUDED, tail_pct=85))}
