@@ -4,7 +4,6 @@ from .dvr_core import (
     ABOVE_PRECISION,
     RElem,
     RingDescriptor,
-    arith,
     make_ring,
     unit_root,
     val,
@@ -16,7 +15,6 @@ __all__ = [
     "ABOVE_PRECISION",
     "RElem",
     "RingDescriptor",
-    "arith",
     "make_ring",
     "unit_root",
     "val",

@@ -32,17 +32,14 @@ series oracle); mixing the two forms in one entry is an error.  Every
 schema complaint carries the offending line number.
 
 Exit codes: 0 success, 1 input error, 2 verification mismatch,
-3 precision instability.  GERMRH_THREADS caps the verify grid's
-parallelism.
+3 precision instability.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dvr_core import RingDescriptor, make_ring
@@ -653,7 +650,7 @@ def cmd_tower(spec: CoverSpecFile, *, precision: int | None = None,
     return report
 
 
-def cmd_genus(spec: CoverSpecFile, *, precision: int | None = None) -> dict:
+def cmd_genus(spec: CoverSpecFile) -> dict:
     g = spec.genus
     if g is None:
         raise SpecFileError("no genus block")
@@ -807,27 +804,24 @@ def _cell_equation(ring, spec: tuple, window: int | None) -> TorsorEquation:
     return build_equation(cover, ring, window)
 
 
-def _run_cell(cell: _Cell, window: int | None) -> dict:
-    ring = make_ring(*cell.ring_args)
-    win = window if window is not None else cell.window
-    eq_window = max(60, win or 0)
-    eq1 = _cell_equation(ring, cell.eq1, eq_window)
-    eq2 = _cell_equation(ring, cell.eq2, eq_window)
-    row = {"case": cell.label,
+def _check_pair(label: str, ring, eq1, eq2, hi: int | None,
+                pinned: tuple | None = None) -> dict:
+    """One verify row: the oracle's reading of eq2 over eq1 on window hi
+    against the closed form, or against `pinned` (m, tag) when given."""
+    row = {"case": label,
            "ring": f"p{ring.p} r{ring.v_lambda} s{ring.s}"}
-    if cell.pinned is not None:
-        want_m, want_tag = cell.pinned
+    if pinned is not None:
+        want_m, want_tag = pinned
     else:
         res = propagate(PPInput(classify(eq1), classify(eq2), ring))
         want_m, want_tag = res.m1p, res.g1p
     row["formula_m"] = want_m
     row["formula_tag"] = _tag_str(want_tag)
     try:
-        got_m, got_tag = oracle_conductor(eq1, eq2, hi=win)
+        got_m, got_tag = oracle_conductor(eq1, eq2, hi=hi)
     except ValueError as err:
-        row["oracle_m"] = None
-        row["oracle_tag"] = None
-        row["status"] = f"unstable: {err}"
+        row.update(oracle_m=None, oracle_tag=None,
+                   status=f"unstable: {err}")
         return row
     row["oracle_m"] = got_m
     row["oracle_tag"] = _tag_str(got_tag)
@@ -836,13 +830,14 @@ def _run_cell(cell: _Cell, window: int | None) -> dict:
     return row
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("GERMRH_THREADS", "")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    return cap if cap > 0 else min(8, os.cpu_count() or 1)
+def _run_cell(cell: _Cell, window: int | None) -> dict:
+    ring = make_ring(*cell.ring_args)
+    win = window if window is not None else cell.window
+    eq_window = max(60, win or 0)
+    return _check_pair(cell.label, ring,
+                       _cell_equation(ring, cell.eq1, eq_window),
+                       _cell_equation(ring, cell.eq2, eq_window),
+                       win, cell.pinned)
 
 
 def cmd_verify(spec: CoverSpecFile | None = None, *, grid: str = "quick",
@@ -852,47 +847,19 @@ def cmd_verify(spec: CoverSpecFile | None = None, *, grid: str = "quick",
         if len(spec.covers) != 2:
             raise SpecFileError("verify on a file needs exactly two covers")
         ring = _resolve_ring(spec.ring, precision)
-        prec = spec.ring.series_prec if spec.ring else None
-        eqs = tuple(build_equation(c, ring, window, prec)
-                    for c in spec.covers)
-        cells = None
-        rows = [_run_file_cell(ring, eqs, window)]
+        eq1, eq2 = (build_equation(c, ring, window, _file_prec(spec),
+                                   _file_window(spec)) for c in spec.covers)
+        grid = "file"
+        rows = [_check_pair("file pair", ring, eq1, eq2, window)]
     else:
-        cells = _grid_cells(grid)
-        workers = min(_thread_cap(), len(cells))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda c: _run_cell(c, window), cells))
-        else:
-            rows = [_run_cell(c, window) for c in cells]
+        rows = [_run_cell(c, window) for c in _grid_cells(grid)]
     mismatches = sum(1 for r in rows if r["status"] == "mismatch")
     unstable = sum(1 for r in rows if r["status"].startswith("unstable"))
-    report = {"command": "verify",
-              "grid": grid if cells is not None else "file",
-              "cells": rows,
+    report = {"command": "verify", "grid": grid, "cells": rows,
               "summary": {"total": len(rows),
                           "match": len(rows) - mismatches - unstable,
                           "mismatch": mismatches, "unstable": unstable}}
     return report, 2 if mismatches else 3 if unstable else 0
-
-
-def _run_file_cell(ring, eqs, window: int | None) -> dict:
-    row = {"case": "file pair",
-           "ring": f"p{ring.p} r{ring.v_lambda} s{ring.s}"}
-    res = propagate(PPInput(classify(eqs[0]), classify(eqs[1]), ring))
-    row["formula_m"] = res.m1p
-    row["formula_tag"] = _tag_str(res.g1p)
-    try:
-        got_m, got_tag = oracle_conductor(eqs[0], eqs[1], hi=window)
-    except ValueError as err:
-        row.update(oracle_m=None, oracle_tag=None,
-                   status=f"unstable: {err}")
-        return row
-    row["oracle_m"] = got_m
-    row["oracle_tag"] = _tag_str(got_tag)
-    ok = got_m == res.m1p and (res.g1p is None or got_tag == res.g1p)
-    row["status"] = "match" if ok else "mismatch"
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -967,10 +934,11 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--spec", required=(name != "verify"),
                          help="cover spec file")
         cmd.add_argument("--json", action="store_true")
-        cmd.add_argument("--precision", type=int, metavar="N",
-                         help="override ring capacity M")
-        cmd.add_argument("--window", type=int, metavar="W",
-                         help="override series window")
+        if name != "genus":
+            cmd.add_argument("--precision", type=int, metavar="N",
+                             help="override ring capacity M")
+            cmd.add_argument("--window", type=int, metavar="W",
+                             help="override series window")
         if name in ("propagate", "torsor-check"):
             cmd.add_argument("--oracle", action="store_true",
                              help="cross-check with the series oracle")
@@ -999,7 +967,7 @@ def main(argv=None) -> int:
             report, code = cmd_tower(spec, precision=args.precision,
                                      window=args.window), 0
         elif args.command == "genus":
-            report, code = cmd_genus(spec, precision=args.precision), 0
+            report, code = cmd_genus(spec), 0
         elif args.command == "torsor-check":
             report, code = cmd_torsor_check(spec, oracle=args.oracle,
                                             precision=args.precision,

@@ -252,8 +252,6 @@ class RingDescriptor:
     gr_fold: tuple
     fold: tuple
 
-    # populated lazily (object.__setattr__ in __post_init__ helpers)
-
     def __repr__(self):
         return f"RingDescriptor(p={self.p}, r={self.r}, s={self.s}, M={self.M})"
 
@@ -276,9 +274,6 @@ class RingDescriptor:
 
     def gr_neg(self, a):
         return tuple((-x) % self.pM for x in a)
-
-    def gr_scale(self, c: int, a):
-        return tuple((c * x) % self.pM for x in a)
 
     def gr_mul(self, a, b):
         if self.s == 1:
@@ -316,15 +311,6 @@ class RingDescriptor:
                 if w < v:
                     v = w
         return v
-
-    def gr_inv(self, a):
-        res = self.gr_residue(a)
-        z = self.gr_lift(self.field.inv(res))
-        two = self.gr_from_int(2)
-        steps = max(1, (self.M - 1).bit_length() + 1)
-        for _ in range(steps):
-            z = self.gr_mul(z, self.gr_sub(two, self.gr_mul(a, z)))
-        return z
 
     # -- element constructors ----------------------------------------------
 
@@ -508,9 +494,6 @@ class RElem:
     def is_zero(self) -> bool:
         return self.val() is None
 
-    def is_unit(self) -> bool:
-        return self.val() == 0
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
@@ -662,29 +645,9 @@ class RElem:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def arith(op: str, x: RElem, y: RElem) -> RElem:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x * y.inverse()
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def val(x: RElem):
     v = x.val()
     return ABOVE_PRECISION if v is None else v
-
-
-def residue(x: RElem):
-    return x.residue()
-
-
-def lift(ring: RingDescriptor, a) -> RElem:
-    return ring.from_residue(a)
 
 
 def unit_root(x: RElem, m: int) -> RElem:

@@ -32,7 +32,9 @@ try:
 
     def _bigmul(a: int, b: int) -> int:
         return int(_mpz(a) * _mpz(b))
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:
+    # Taken whenever gmpy2 is not installed; the baseline figures in
+    # perfbench/README.md were measured on this plain-int product.
     def _bigmul(a: int, b: int) -> int:
         return a * b
 
@@ -55,6 +57,27 @@ class _ZeroClass:
 
 
 ZERO_CLASS = _ZeroClass()
+
+
+def _product_hi(a, b) -> int:
+    """Trusted top exponent of a*b: the untracked terms above one factor's
+    hi meet the other factor's lowest stored term; with nothing stored on
+    either side, untracked meets untracked above hi_a + hi_b."""
+    tops = [x.hi + s for x, s in ((a, b.min_support()), (b, a.min_support()))
+            if s is not None]
+    return _clamp_exp(min(tops) if tops else a.hi + b.hi)
+
+
+def _square_multiply(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, starting from one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        if n > 1:
+            base = base * base
+        n >>= 1
+    return result
 
 
 def _clamp_exp(x: int) -> int:
@@ -206,20 +229,9 @@ class RLaurent:
         self._check(other)
         prec = min(self.prec, other.prec)
         lo = _clamp_exp(self.lo + other.lo)
-        sa = self.min_support()
-        sb = other.min_support()
-        if sa is None or sb is None:
-            # junk x stored lands above hi+s, junk x junk above hi_a+hi_b
-            hi_candidates = []
-            if sb is not None:
-                hi_candidates.append(self.hi + sb)
-            if sa is not None:
-                hi_candidates.append(other.hi + sa)
-            if not hi_candidates:
-                hi_candidates.append(self.hi + other.hi)
-            hi = _clamp_exp(min(hi_candidates))
+        hi = _product_hi(self, other)
+        if not (self.coeffs and other.coeffs):
             return RLaurent(self.ring, {}, min(lo, hi), hi, prec)
-        hi = _clamp_exp(min(self.hi + sb, other.hi + sa))
         if self.ring.s == 1:
             out = _packed_mul_r(self.ring, self.coeffs, other.coeffs, prec)
         else:
@@ -229,15 +241,8 @@ class RLaurent:
     def __pow__(self, n: int):
         if n < 0:
             return invert_unit(self) ** (-n)
-        result = RLaurent.one(self.ring, prec=self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return _square_multiply(self, n, RLaurent.one(self.ring,
+                                                      prec=self.prec))
 
     # -- residue and units ---------------------------------------------------
 
@@ -421,17 +426,9 @@ class KLaurent:
     def __mul__(self, other):
         self._check(other)
         F = self.field
-        sa, sb = self.min_support(), other.min_support()
-        if sa is None or sb is None:
-            hi_candidates = []
-            if sb is not None:
-                hi_candidates.append(self.hi + sb)
-            if sa is not None:
-                hi_candidates.append(other.hi + sa)
-            if not hi_candidates:
-                hi_candidates.append(self.hi + other.hi)
-            return KLaurent(F, {}, _clamp_exp(min(hi_candidates)))
-        hi = _clamp_exp(min(self.hi + sb, other.hi + sa))
+        hi = _product_hi(self, other)
+        if not (self.coeffs and other.coeffs):
+            return KLaurent(F, {}, hi)
         if F.s == 1:
             out = _packed_mul_k(F, self.coeffs, other.coeffs)
         else:
@@ -447,15 +444,7 @@ class KLaurent:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = KLaurent.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return _square_multiply(self, n, KLaurent.one(self.field))
 
     def inverse(self, hi: int | None = None) -> "KLaurent":
         """Inverse of a nonzero series: lead^-1 t^-m * sum (-rho)^k.
@@ -541,16 +530,6 @@ def _packed_mul_k(field: Fq, A: dict, B: dict) -> dict:
 # module-level series operations
 # ---------------------------------------------------------------------------
 
-def series_arith(op: str, a: RLaurent, b: RLaurent | None = None) -> RLaurent:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert_unit":
-        return invert_unit(a)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def invert_unit(u: RLaurent) -> RLaurent:
     """Inverse of a unit of R[[T]]{T^-1}: geometric series around the
     lowest valuation-0 term (everything below it carries positive
@@ -560,6 +539,37 @@ def invert_unit(u: RLaurent) -> RLaurent:
     rho = u.shift(-ell).scale(lead.inverse()) - one
     inv = binom_power(one + rho, -1)
     return inv.scale(lead.inverse()).shift(-ell)
+
+
+def _binomials(alpha: Fraction, p: int, floor: int, guard: int,
+               exhausted: str):
+    """Yield C(alpha, j) mod p^floor for j = 1..guard.
+
+    alpha runs through an integer surrogate congruent to it modulo a power
+    of p padded for the p-part of j!, so every value is exact; `exhausted`
+    names the budget to raise when that padding runs out.
+    """
+    K = floor + guard // (p - 1) + 4
+    mod = p ** K
+    a_int = (alpha.numerator * pow(alpha.denominator, -1, mod)) % mod
+    C = 1
+    for j in range(1, guard + 1):
+        numer = (C * ((a_int - j + 1) % mod)) % mod
+        vj, jj = 0, j
+        while jj % p == 0:
+            jj //= p
+            vj += 1
+        if vj:
+            if numer % (p ** vj):
+                raise ArithmeticError("binomial recurrence lost p-divisibility")
+            numer //= p ** vj
+            K -= vj
+            mod = p ** K
+            if K < floor:
+                raise ValueError("binomial series exhausted the p-capacity "
+                                 f"guard; {exhausted}")
+        C = (numer * pow(jj, -1, mod)) % mod
+        yield C % p ** floor
 
 
 def binom_power(base: RLaurent, alpha) -> RLaurent:
@@ -586,33 +596,12 @@ def binom_power(base: RLaurent, alpha) -> RLaurent:
                              "truncation bound")
     if alpha == 0:
         return one + B.scale(0)
-    # integer surrogate for alpha, padded for the p-part of j!
     # Iteration bound: val-0 factors raise the exponent past B.hi, all
     # others raise the valuation past the precision, so lo never enters.
     guard = base.prec + (max(B.hi, 0) if finite_hi else 0) + 32
-    slack = guard // (p - 1) + 4
-    K = ring.M + slack
-    mod = p ** K
-    a_int = (alpha.numerator * pow(alpha.denominator, -1, mod)) % mod
     acc = one
     term = one
-    C = 1
-    for j in range(1, guard + 1):
-        numer = (C * ((a_int - j + 1) % mod)) % mod
-        vj, jj = 0, j
-        while jj % p == 0:
-            jj //= p
-            vj += 1
-        if vj:
-            if numer % (p ** vj):
-                raise ArithmeticError("binomial recurrence lost p-divisibility")
-            numer //= p ** vj
-            K -= vj
-            mod = p ** K
-            if K < ring.M:
-                raise ValueError("binomial series exhausted the p-capacity "
-                                 "guard; increase precision")
-        C = (numer * pow(jj, -1, mod)) % mod
+    for C in _binomials(alpha, p, ring.M, guard, "increase precision"):
         term = term * B
         if finite_hi:
             # the sum is only trusted up to B's window; dropping higher
@@ -620,7 +609,7 @@ def binom_power(base: RLaurent, alpha) -> RLaurent:
             term = term.restrict(hi=B.hi)
         if term.is_zero():
             return acc.restrict(hi=B.hi) if finite_hi else acc
-        acc = acc + term.scale(C % ring.pM)
+        acc = acc + term.scale(C)
     raise ValueError("binomial series did not converge within the "
                      "window/precision budget")
 
@@ -631,8 +620,6 @@ def kbinom_power(base: KLaurent, alpha) -> KLaurent:
     Residue twin of binom_power.  B must consist of positive-exponent
     terms and carry a finite hi: the only way a term dies here is by
     climbing past the window, so an exact base would never terminate.
-    C(alpha, j) mod p goes through an integer surrogate congruent to
-    alpha modulo a power of p that absorbs the p-part of j!.
     """
     alpha = Fraction(alpha)
     F = base.field
@@ -651,34 +638,13 @@ def kbinom_power(base: KLaurent, alpha) -> KLaurent:
     acc = KLaurent(F, {0: F.one}, B.hi)
     if alpha == 0:
         return acc
-    guard = B.hi // B.min_support() + 2
-    slack = guard // (p - 1) + 4
-    K = 1 + slack
-    mod = p ** K
-    a_int = (alpha.numerator * pow(alpha.denominator, -1, mod)) % mod
     term = acc
-    C = 1
-    for j in range(1, guard + 1):
-        numer = (C * ((a_int - j + 1) % mod)) % mod
-        vj, jj = 0, j
-        while jj % p == 0:
-            jj //= p
-            vj += 1
-        if vj:
-            if numer % (p ** vj):
-                raise ArithmeticError("binomial recurrence lost "
-                                      "p-divisibility")
-            numer //= p ** vj
-            K -= vj
-            mod = p ** K
-            if K < 1:
-                raise ValueError("binomial series exhausted the p-capacity "
-                                 "guard; widen the window")
-        C = (numer * pow(jj, -1, mod)) % mod
+    for C in _binomials(alpha, p, 1, B.hi // B.min_support() + 2,
+                        "widen the window"):
         term = (term * B).restrict_hi(B.hi)
         if term.is_zero():
             return acc
-        acc = acc + term.scale(C % p)
+        acc = acc + term.scale(C)
     raise AssertionError("term with exponent above hi survived restrict_hi")
 
 
@@ -700,76 +666,44 @@ def series_root(u: RLaurent, m: int) -> RLaurent:
     return s.scale(root_lead).shift(ell // m)
 
 
+def _add_powers(acc, u, phi, invert):
+    """acc + sum of u_i phi^i over u's nonzero exponents i, walking the
+    powers of phi incrementally away from 0 in each direction.  invert()
+    gives phi^-1 and runs only when u has negative exponents."""
+    for sign in (1, -1):
+        ks = sorted(sign * i for i in u.coeffs if sign * i > 0)
+        if not ks:
+            continue
+        base = phi if sign > 0 else invert()
+        power, cur = None, 0
+        for k in ks:
+            step = base ** (k - cur)
+            power = step if power is None else power * step
+            cur = k
+            acc = acc + power.scale(u.coeffs[sign * k])
+    return acc
+
+
 def substitute(u: RLaurent, phi: RLaurent) -> RLaurent:
     """Evaluate u at T = phi; powers of phi are walked incrementally."""
     ring = u.ring
     if ring is not phi.ring:
         raise ValueError("ring mismatch")
     prec = min(u.prec, phi.prec)
-    exps = sorted(u.coeffs)
     acc = RLaurent.zero(ring, lo=-INF_EXP, hi=INF_EXP, prec=prec)
-    if not exps:
-        return acc
     if 0 in u.coeffs:
         acc = acc + RLaurent.from_terms(ring, {0: u.coeffs[0]}, lo=0,
                                         prec=prec)
-    pos = [i for i in exps if i > 0]
-    neg = [i for i in exps if i < 0]
-    if pos:
-        power = None
-        cur = 0
-        for i in pos:
-            step = phi ** (i - cur) if power is not None else phi ** i
-            power = step if power is None else power * step
-            cur = i
-            acc = acc + power.scale(u.coeffs[i])
-    if neg:
-        phi_inv = invert_unit(phi)
-        power = None
-        cur = 0
-        for i in sorted(neg, reverse=True):
-            k = -i
-            step = phi_inv ** (k - cur) if power is not None else phi_inv ** k
-            power = step if power is None else power * step
-            cur = k
-            acc = acc + power.scale(u.coeffs[i])
-    return acc
+    return _add_powers(acc, u, phi, lambda: invert_unit(phi))
 
 
 def ksubstitute(u: KLaurent, phi: KLaurent, hi: int | None = None) -> KLaurent:
     """Residue-level substitution; hi bounds the inverse when needed."""
     F = u.field
     acc = KLaurent.zero(F)
-    exps = sorted(u.coeffs)
-    if not exps:
-        return acc
     if 0 in u.coeffs:
         acc = acc + KLaurent.from_terms(F, {0: u.coeffs[0]})
-    pos = [i for i in exps if i > 0]
-    neg = [i for i in exps if i < 0]
-    if pos:
-        power = None
-        cur = 0
-        for i in pos:
-            step = phi ** (i - cur) if power is not None else phi ** i
-            power = step if power is None else power * step
-            cur = i
-            acc = acc + power.scale(u.coeffs[i])
-    if neg:
-        phi_inv = phi.inverse(hi=hi)
-        power = None
-        cur = 0
-        for i in sorted(neg, reverse=True):
-            k = -i
-            step = phi_inv ** (k - cur) if power is not None else phi_inv ** k
-            power = step if power is None else power * step
-            cur = k
-            acc = acc + power.scale(u.coeffs[i])
-    return acc
-
-
-def residue_series(u: RLaurent) -> KLaurent:
-    return u.residue()
+    return _add_powers(acc, u, phi, lambda: phi.inverse(hi=hi))
 
 
 def div_pi(u: RLaurent, j: int) -> RLaurent:
@@ -788,11 +722,6 @@ def is_pth_power(u: KLaurent) -> bool:
     if u.is_zero():
         raise ValueError("zero series has no p-power type")
     return all(e % u.field.p == 0 for e in u.coeffs)
-
-
-def as_reduce(u: KLaurent):
-    red, m, _ = as_reduce_witness(u)
-    return red, m
 
 
 def as_reduce_witness(u: KLaurent):
@@ -857,16 +786,6 @@ def as_reduce_witness(u: KLaurent):
     if red.is_zero():
         return red, ZERO_CLASS, witness
     return red, red.min_support(), witness
-
-
-def strip_pth_powers(u: RLaurent) -> RLaurent:
-    out, _, _ = reduce_kummer_unit(u)
-    return out
-
-
-def strip_pth_powers_witness(u: RLaurent):
-    out, w, _ = reduce_kummer_unit(u)
-    return out, w
 
 
 def reduce_kummer_unit(u: RLaurent):

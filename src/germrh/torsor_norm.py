@@ -113,16 +113,6 @@ class TorsorData:
     witness: RLaurent | None = None
 
 
-def different_degree(td: TorsorData) -> int:
-    ring = td.normalized_equation.ring
-    tag = td.group_tag
-    if tag.kind == "MuP":
-        return ring.e
-    if tag.kind == "Hn":
-        return ring.e - tag.n * (ring.p - 1)
-    return 0
-
-
 def classify(eq: TorsorEquation) -> TorsorData:
     """Group scheme, conductor and exact normal form of a cover."""
     if eq.kind == "Etale":
@@ -130,10 +120,6 @@ def classify(eq: TorsorEquation) -> TorsorData:
     if eq.kind == "Hn":
         return _classify_hn(eq.n, eq.u)
     return _classify_kummer(eq.u)
-
-
-def simplify(eq: TorsorEquation) -> TorsorEquation:
-    return classify(eq).normalized_equation
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from germrh.dvr_core import (
     ABOVE_PRECISION,
     Fq,
-    arith,
     make_ring,
     unit_root,
     val,
@@ -145,25 +144,20 @@ class TestArith:
         x = random_elem(R32, random.Random(3))
         assert (x * R32.one()).eq_mod(x, x.prec)
 
-    def test_dispatcher(self):
+    def test_operators(self):
         x, y = R32.from_int(7), R32.from_int(5)
-        assert arith("add", x, y).eq_mod(R32.from_int(12), 4)
-        assert arith("sub", x, y).eq_mod(R32.from_int(2), 4)
-        assert arith("mul", x, y).eq_mod(R32.from_int(35), 4)
-        assert arith("div", x, y) * y == arith("div", x, y) * y
-        assert (arith("div", x, y) * y).eq_mod(x, x.prec)
+        assert (x + y).eq_mod(R32.from_int(12), 4)
+        assert (x - y).eq_mod(R32.from_int(2), 4)
+        assert (x * y).eq_mod(R32.from_int(35), 4)
+        assert (x * y.inverse() * y).eq_mod(x, x.prec)
 
     def test_ring_mismatch(self):
         with pytest.raises(ValueError, match="ring mismatch"):
-            arith("add", R32.one(), R31.one())
+            R32.one() + R31.one()
 
     def test_div_by_nonunit(self):
         with pytest.raises(ValueError, match="non-unit"):
-            arith("div", R32.one(), R32.lam)
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            arith("pow", R32.one(), R32.one())
+            R32.one() * R32.lam.inverse()
 
     def test_inverse_roundtrip(self):
         rng = random.Random(4)

@@ -14,7 +14,6 @@ from germrh.laurent import (
     KLaurent,
     RLaurent,
     ZERO_CLASS,
-    as_reduce,
     as_reduce_witness,
     binom_power,
     invert_unit,
@@ -24,13 +23,9 @@ from germrh.laurent import (
     kseries_to_json,
     ksubstitute,
     reduce_kummer_unit,
-    residue_series,
-    series_arith,
     series_from_json,
     series_root,
     series_to_json,
-    strip_pth_powers,
-    strip_pth_powers_witness,
     substitute,
 )
 
@@ -162,13 +157,6 @@ class TestInversion:
         u = RLaurent.from_terms(R32, {-2: 1, 0: 1}, lo=-2, hi=6)
         assert (u * invert_unit(u)).eq_mod(RLaurent.one(R32).restrict(hi=4))
 
-    def test_series_arith_dispatch(self):
-        a = RLaurent.from_terms(R32, {0: 1}, lo=0, hi=3)
-        assert series_arith("add", a, a).coeff(0).eq_mod(R32.from_int(2), 4)
-        assert series_arith("mul", a, a).coeff(0).eq_mod(R32.one(), 4)
-        assert series_arith("invert_unit", a).coeff(0).eq_mod(R32.one(), 4)
-        with pytest.raises(ValueError, match="unknown operation"):
-            series_arith("pow", a, a)
 
 
 class TestBinomPower:
@@ -378,24 +366,24 @@ class TestKLaurent:
     def test_residue_series(self):
         u = RLaurent.from_terms(R32, {0: 1, 1: R32.pi_power(1), 2: 2},
                                 lo=0, hi=5)
-        r = residue_series(u)
+        r = u.residue()
         assert r.support() == [0, 2]
 
 
 class TestAsReduce:
     def test_fold_negative_p_divisible(self):
         F = R32.field
-        red, m = as_reduce(KLaurent.from_terms(F, {-3: 1}, hi=0))
+        red, m = as_reduce_witness(KLaurent.from_terms(F, {-3: 1}, hi=0))[:2]
         assert m == -1 and red.support() == [-1]
 
     def test_positive_part_is_a_coboundary(self):
         F = R32.field
-        red, m = as_reduce(KLaurent.from_terms(F, {2: 1}, hi=8))
+        red, m = as_reduce_witness(KLaurent.from_terms(F, {2: 1}, hi=8))[:2]
         assert m is ZERO_CLASS and red.is_zero()
 
     def test_coprime_negative_part_survives(self):
         F = R32.field
-        red, m = as_reduce(KLaurent.from_terms(F, {-2: 1}, hi=0))
+        red, m = as_reduce_witness(KLaurent.from_terms(F, {-2: 1}, hi=0))[:2]
         assert m == -2 and red.support() == [-2]
 
     def test_constant_needs_trace_zero(self):
@@ -403,7 +391,7 @@ class TestAsReduce:
         for ring in (R32, RS2):
             u = KLaurent.from_terms(ring.field, {0: 1}, hi=4)
             with pytest.raises(ValueError, match="residue field too small"):
-                as_reduce(u)
+                as_reduce_witness(u)
 
     def test_solvable_constant_over_f9(self):
         F = RS2.field
@@ -416,7 +404,7 @@ class TestAsReduce:
     def test_window_guard(self):
         F = R32.field
         with pytest.raises(ValueError, match="widen window"):
-            as_reduce(KLaurent.from_terms(F, {-3: 1}, hi=-2))
+            as_reduce_witness(KLaurent.from_terms(F, {-3: 1}, hi=-2))
 
     def test_witness_identity_randomized(self):
         rng = random.Random(31)
@@ -439,8 +427,8 @@ class TestAsReduce:
     def test_idempotent(self):
         F = R32.field
         u = KLaurent.from_terms(F, {-9: 2, -4: 1, 2: 1}, hi=8)
-        red, m = as_reduce(u)
-        red2, m2 = as_reduce(red)
+        red, m = as_reduce_witness(u)[:2]
+        red2, m2 = as_reduce_witness(red)[:2]
         assert m2 == m and red2.coeffs == red.coeffs
 
 
@@ -460,14 +448,13 @@ class TestStripPthPowers:
         chk = u * (w ** 3)
         assert chk.eq_mod(out.restrict(hi=chk.hi, prec=chk.prec))
 
-    def test_strip_public_wrappers(self):
+    def test_negative_monomial_power_stripped(self):
         v = RLaurent.from_terms(R32, {0: 1, 4: 1}, lo=0, hi=8)
         u = v.shift(-6)
-        out = strip_pth_powers(u)
+        out, w, _ = reduce_kummer_unit(u)
         assert out.min_support() == 0
-        out2, w = strip_pth_powers_witness(u)
         chk = u * (w ** 3)
-        assert chk.eq_mod(out2.restrict(hi=chk.hi, prec=chk.prec))
+        assert chk.eq_mod(out.restrict(hi=chk.hi, prec=chk.prec))
 
     def test_residue_pth_power_reaches_level(self):
         # residue (1+Z^2)^3 strips to 1; the next stratum sits at v(3) = 6

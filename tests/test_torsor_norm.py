@@ -16,9 +16,8 @@ from germrh.dvr_core import make_ring
 from germrh.laurent import (
     KLaurent,
     RLaurent,
-    as_reduce,
+    as_reduce_witness,
     ksubstitute,
-    residue_series,
     substitute,
 )
 from germrh.torsor_norm import (
@@ -28,9 +27,7 @@ from germrh.torsor_norm import (
     TorsorData,
     TorsorEquation,
     classify,
-    different_degree,
     hn,
-    simplify,
 )
 
 R32 = make_ring(3, 2, 1, 6)
@@ -226,8 +223,8 @@ class TestClassifyEtale:
         eq = TorsorEquation("Etale", u)
         td = classify(eq)
         assert td.m == -5
-        red, m = as_reduce(residue_series(u))
-        sbar = residue_series(td.parameter_change)
+        red, m, _ = as_reduce_witness(u.residue())
+        sbar = td.parameter_change.residue()
         F = R32.field
         phi = KLaurent.monomial(F, 1) * sbar
         out = ksubstitute(red, phi, hi=sbar.hi)
@@ -240,16 +237,16 @@ class TestSimplify:
         for eq in (kummer(R32, {0: 1, 2: 1}),
                    TorsorEquation("Etale", series(R32, {-2: 1}, hi=2)),
                    TorsorEquation("Hn", series(R32, {5: 1}), n=1)):
-            norm = simplify(eq)
+            norm = classify(eq).normalized_equation
             td1, td2 = classify(eq), classify(norm)
             assert invariants(td1) == invariants(td2)
-            norm2 = simplify(norm)
+            norm2 = classify(norm).normalized_equation
             assert norm2.kind == norm.kind
             assert norm2.u.support() == norm.u.support()
 
     def test_monomial_times_unit(self):
         eq = kummer(R32, {1: 1, 2: R32.pi_power(1)})
-        norm = simplify(eq)
+        norm = classify(eq).normalized_equation
         assert norm.kind == "Kummer" and norm.u.support() == [1]
 
 
@@ -283,17 +280,17 @@ class TestParameterChangeInvariance:
 class TestDifferentDegree:
     def test_group_switch(self):
         mu = classify(kummer(R32, {0: 1, 2: 1}))
-        assert different_degree(mu) == 4
+        assert mu.delta == 4
         lv = classify(TorsorEquation("Hn", series(R32, {5: 1}), n=1))
-        assert different_degree(lv) == 2
+        assert lv.delta == 2
         et = classify(TorsorEquation("Etale", series(R32, {-2: 1}, hi=2)))
-        assert different_degree(et) == 0
+        assert et.delta == 0
 
     def test_p5_values(self):
         mu = classify(kummer(R52, {0: 1, 2: 1}))
-        assert different_degree(mu) == 8
+        assert mu.delta == 8
         lv = classify(TorsorEquation("Hn", series(R52, {1: 1}), n=1))
-        assert different_degree(lv) == 8 - 4
+        assert lv.delta == 8 - 4
 
 
 class TestGroupTag:
