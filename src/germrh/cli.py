@@ -470,12 +470,12 @@ def build_equation(cover: CoverSpec, ring: RingDescriptor,
     hi = window if window is not None else \
         cover.window if cover.window is not None else \
         file_window if file_window is not None else _default_window(ring)
-    series = series_from_json(ring, {
-        "window": [min(exp for exp, _, _ in cover.terms), hi],
-        "prec": prec if prec is not None else _default_prec(ring),
-        "coeffs": coeffs,
-    })
     try:
+        series = series_from_json(ring, {
+            "window": [min(exp for exp, _, _ in cover.terms), hi],
+            "prec": prec if prec is not None else _default_prec(ring),
+            "coeffs": coeffs,
+        })
         return TorsorEquation(cover.kind, series, cover.n)
     except ValueError as err:
         raise SpecFileError(str(err), cover.line) from None
@@ -851,6 +851,9 @@ def cmd_verify(spec: CoverSpecFile | None = None, *, grid: str = "quick",
                                    _file_window(spec)) for c in spec.covers)
         grid = "file"
         rows = [_check_pair("file pair", ring, eq1, eq2, window)]
+    elif precision is not None:
+        raise SpecFileError("--precision applies to --spec runs; grid "
+                            "cells carry their own M")
     else:
         rows = [_run_cell(c, window) for c in _grid_cells(grid)]
     mismatches = sum(1 for r in rows if r["status"] == "mismatch")

@@ -3,15 +3,20 @@
 Given the classification data of two generically disjoint degree-p
 covers of the same boundary, the conductors, group schemes and
 different degrees of the compositum over each intermediate cover follow
-from a finite case table keyed by the pair of group tags.  Everything
-here is exact integer arithmetic; the series machinery only enters
-through the classification data handed in, and through the oracle that
-cross-checks these tables on grids.
+from one ordered rule: what cover q becomes when pulled back over cover
+b.  Everything here is exact integer arithmetic; the series machinery
+only enters through the classification data handed in, and through the
+oracle that cross-checks this rule on grids.
 
 Conventions: conductor variables m (c = -m) as in the classification
-layer; v(p) = e = r(p-1); levels live in 0 < n < r.  Pair order is
-canonicalized to (Etale, Hn, MuP) and the results are swapped back, so
-callers may present the pair either way.
+layer; v(p) = e = r(p-1).  Group tags are read as levels l, as in the
+Sekiguchi-Oort-Suwa deformation of Kummer into Artin-Schreier theory:
+mu_p at 0, H_n at n (0 < n < r), etale at r.  Pulling q back over b:
+if (l_b, m_b) <= (l_q, m_q) lexicographically, then m' = m_q and
+x = e + l_q; otherwise m' = m_q p - m_b (p-1) and
+x = e + l_q p - l_b (p-1).  The upper level is l' = x / p (mu_p at 0,
+etale at r, H_l' between) and the upper different is (r - l')(p-1);
+when p does not divide x the different block does not exist.
 """
 
 from dataclasses import dataclass
@@ -96,103 +101,49 @@ def is_fiber_product_torsor(tags) -> bool:
     return sum(1 for t in tags if t.kind != "Etale") <= 1
 
 
+def _level(tag: GroupTag, r: int) -> int:
+    """Group-scheme level: mu_p at 0, H_n at n, etale at r = v(lambda)."""
+    if tag.kind == "Hn":
+        return tag.n
+    return r if tag.kind == "Etale" else 0
+
+
 def level_data(tag: GroupTag, m: int, ring: RingDescriptor) -> TorsorData:
     """Invariant-only record for a cover known by tag and conductor.
 
     Used for table-level work (towers, grids) where no equation has
     been classified; the series-bearing fields stay empty.
     """
-    if tag.kind == "Etale":
-        delta = 0
-    elif tag.kind == "MuP":
-        delta = ring.e
-    else:
-        delta = ring.e - tag.n * (ring.p - 1)
+    delta = (ring.v_lambda - _level(tag, ring.v_lambda)) * (ring.p - 1)
     return TorsorData(tag, m, -m, delta, None, None, None)
 
 
-# ---------------------------------------------------------------------------
-# the conductor case table
-# ---------------------------------------------------------------------------
+def _pull(base: TorsorData, pulled: TorsorData,
+          ring: RingDescriptor) -> tuple:
+    """(m', x) of the cover `pulled` pulled back over the cover `base`.
 
-def _conductors_canonical(t1: GroupTag, t2: GroupTag, m1: int, m2: int,
-                          p: int) -> tuple:
-    """(m'_1, m'_2) for a pair already in canonical tag order."""
-    kinds = (t1.kind, t2.kind)
-    if kinds in (("Etale", "Etale"), ("MuP", "MuP")):
-        if kinds[0] == "MuP" and m1 == 0 and m2 == 0:
-            raise ValueError("use oracle (both conductors vanish; the "
-                             "closed form needs at least one non-zero)")
-        if m1 <= m2:
-            return m2, m1 * p - m2 * (p - 1)
-        return m2 * p - m1 * (p - 1), m1
-    if kinds in (("Etale", "MuP"), ("Etale", "Hn"), ("Hn", "MuP")):
-        return m2 * p - m1 * (p - 1), m1
-    if kinds == ("Hn", "Hn"):
-        a = (m2, m1 * p - m2 * (p - 1))
-        b = (m2 * p - m1 * (p - 1), m1)
-        if t1.n == t2.n and m1 == m2:
-            # fully tied pair: both branches collapse to (m, m)
-            assert a == b
-            return a
-        return a if t1.n < t2.n or (t1.n == t2.n and m1 < m2) else b
-    raise AssertionError(f"uncovered tag pair {kinds}")
+    x = p * (upper level); p not dividing x means the ring parameters
+    leave the different block non-integral.
+    """
+    p, e, r = ring.p, ring.e, ring.v_lambda
+    lb, lq = _level(base.group_tag, r), _level(pulled.group_tag, r)
+    if (lb, base.m) <= (lq, pulled.m):
+        return pulled.m, e + lq
+    return pulled.m * p - base.m * (p - 1), e + lq * p - lb * (p - 1)
 
 
-def _upper_differents_canonical(t1: GroupTag, t2: GroupTag,
-                                ring: RingDescriptor) -> tuple:
-    """(delta'_1, delta'_2) for a pair already in canonical tag order."""
-    V = ring.e
+def upper_differents(inp: PPInput) -> tuple:
+    """Different degrees of the compositum over each intermediate cover."""
+    ring = inp.ring
     p = ring.p
-
-    def row(x: int) -> int:
+    xs = (_pull(inp.g1, inp.g2, ring)[1], _pull(inp.g2, inp.g1, ring)[1])
+    for x in xs:
         if x % p:
             raise ValueError(
                 "ring parameters incompatible with table: the level "
                 f"combination {x} is not divisible by p={p}; choose r "
                 "so it is")
-        return V - (x // p) * (p - 1)
-
-    kinds = (t1.kind, t2.kind)
-    if kinds == ("Etale", "Etale"):
-        return 0, 0
-    if kinds == ("Etale", "MuP"):
-        return V, 0
-    if kinds == ("Etale", "Hn"):
-        return V - t2.n * (p - 1), 0
-    if kinds == ("Hn", "MuP"):
-        n = t1.n
-        return row(V - n * (p - 1)), row(V + n)
-    if kinds == ("MuP", "MuP"):
-        d = row(V)
-        return d, d
-    if kinds == ("Hn", "Hn"):
-        n1, n2 = t1.n, t2.n
-        if n1 <= n2:
-            return row(V + n2), row(V + n1 * p - n2 * (p - 1))
-        return row(V + n2 * p - n1 * (p - 1)), row(V + n1)
-    raise AssertionError(f"uncovered tag pair {kinds}")
-
-
-def _tag_from_different(dp: int, ring: RingDescriptor) -> GroupTag:
-    if dp == 0:
-        return ETALE
-    if dp == ring.e:
-        return MU_P
-    num = ring.e - dp
-    if num % (ring.p - 1) or not 0 < num // (ring.p - 1) < ring.v_lambda:
-        raise AssertionError(f"table produced an illegal level from "
-                             f"different degree {dp}")
-    return hn(num // (ring.p - 1))
-
-
-def upper_differents(inp: PPInput) -> tuple:
-    """Different degrees of the compositum over each intermediate cover."""
-    t1, t2 = inp.g1.group_tag, inp.g2.group_tag
-    if t1.order() > t2.order():
-        d2, d1 = _upper_differents_canonical(t2, t1, inp.ring)
-        return d1, d2
-    return _upper_differents_canonical(t1, t2, inp.ring)
+    return tuple((ring.v_lambda - x // p) * (p - 1) for x in xs)
 
 
 def propagate(inp: PPInput) -> PPResult:
@@ -204,28 +155,32 @@ def propagate(inp: PPInput) -> PPResult:
     is additive along both paths.
     """
     g1, g2 = inp.g1, inp.g2
-    t1, t2 = g1.group_tag, g2.group_tag
-    p = inp.ring.p
-    if t1.order() > t2.order():
-        m2p, m1p = _conductors_canonical(t2, t1, g2.m, g1.m, p)
-    else:
-        m1p, m2p = _conductors_canonical(t1, t2, g1.m, g2.m, p)
+    ring = inp.ring
+    p, r = ring.p, ring.v_lambda
+    if g1.group_tag == g2.group_tag == MU_P and g1.m == g2.m == 0:
+        raise ValueError("use oracle (both conductors vanish; the "
+                         "closed form needs at least one non-zero)")
+    m1p, m2p = _pull(g1, g2, ring)[0], _pull(g2, g1, ring)[0]
     c1p, c2p = -m1p, -m2p
     ds = special_different(g1.c, c1p, p)
     assert ds == special_different(g2.c, c2p, p), \
-        "special differents disagree (case table bug)"
+        "special differents disagree (pull-back rule bug)"
     assert conductor_relation_check(g1.c, g2.c, c1p, c2p, p), \
-        "conductor relation violated (case table bug)"
+        "conductor relation violated (pull-back rule bug)"
     if g1.m % p and g2.m % p:
         assert gcd(m1p, p) == 1 and gcd(m2p, p) == 1, \
-            "coprimality lost (case table bug)"
+            "coprimality lost (pull-back rule bug)"
     try:
         d1p, d2p = upper_differents(inp)
     except ValueError:
+        # the two x are congruent mod p: both blocks exist or neither
         return PPResult(m1p, m2p, c1p, c2p, None, None, None, None, ds,
                         None)
-    g1p = _tag_from_different(d1p, inp.ring)
-    g2p = _tag_from_different(d2p, inp.ring)
+    uppers = [r - d // (p - 1) for d in (d1p, d2p)]
+    assert all(0 <= u <= r for u in uppers), \
+        f"pull-back rule produced an illegal level in {uppers}"
+    g1p, g2p = (ETALE if u == r else MU_P if u == 0 else hn(u)
+                for u in uppers)
     total = g1.delta + d1p
     assert total == g2.delta + d2p, \
         "different degree not additive (inputs inconsistent with tags)"
@@ -238,8 +193,8 @@ def tower_propagate(levels, ring: RingDescriptor) -> dict:
     The two adjacent pairs are propagated first; the top cover is then
     the compositum of the two intermediate covers over the shared
     middle one, which is again a (p, p) pair, now under the upper group
-    tags.  Needs the different block of both pairs (the upper tags
-    place the top pair in its conductor case).
+    tags.  Needs the different block of both pairs (the pull-back rule
+    compares the upper levels of the top pair).
     """
     levels = list(levels)
     if len(levels) == 2:

@@ -52,10 +52,6 @@ class GroupTag:
         if self.kind == "Hn" and self.n < 1:
             raise ValueError("Hn level must be positive")
 
-    def order(self) -> int:
-        # canonical sort: etale lowest, mu_p highest, levels in between
-        return {"Etale": 0, "Hn": 1, "MuP": 2}[self.kind]
-
     def __str__(self):
         if self.kind == "Hn":
             return f"H_{self.n}"

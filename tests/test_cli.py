@@ -107,6 +107,21 @@ class TestVerify:
                                      "unstable": 0}
         assert code == 2
 
+    def test_window_below_lowest_term_is_an_input_error(self, tmp_path,
+                                                        capsys):
+        spec = write(tmp_path, ETALE_PAIR.format(extra=""))
+        code, out, err = run(["verify", "--spec", spec, "--window", "-8"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err == "germrh: error: line 5: widen window\n"
+
+    def test_grid_rejects_precision(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_grid_cells", lambda preset: [])
+        code, out, err = run(["verify", "--grid", "quick", "--precision",
+                              "3"], capsys)
+        assert code == 1 and out == ""
+        assert "--precision applies to --spec runs" in err
+
 
 def test_malformed_spec_names_its_line(tmp_path, capsys):
     spec = write(tmp_path, "ring:\n  p: 3\n  r 3\n")

@@ -302,8 +302,7 @@ class TestGroupTag:
         with pytest.raises(ValueError, match="level n"):
             GroupTag("Hn")
 
-    def test_order_and_str(self):
-        assert ETALE.order() < hn(1).order() < MU_P.order()
+    def test_str(self):
         assert str(hn(2)) == "H_2"
         assert str(MU_P) == "mu_p"
         assert str(ETALE) == "etale"
