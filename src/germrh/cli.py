@@ -11,8 +11,11 @@ itself a list of s residue coordinates).  A file holds one optional
     ring:
       p: 3          # r, s, M fall back to per-prime defaults
       r: 3
+      series_prec: 14
+      window: 30
     cover:          # concrete: kind + terms (exponent: coefficient)
       kind: kummer
+      window: 40
       terms:
         0: 1
         2: [1, 0, 2]
@@ -31,6 +34,14 @@ commands) or concrete (kind/terms/n, enough to classify and to run the
 series oracle); mixing the two forms in one entry is an error.  Every
 schema complaint carries the offending line number.
 
+A concrete cover's equation is a series known modulo pi^series_prec
+(default v(lambda)(p + 1) + 2, the classification layer's policy, not
+full capacity) on the exponents from its lowest term up to its window.
+The window is the first one set of: the --window option, the cover's
+`window:`, the ring block's `window:`, and max(18, 4 v(lambda) + 2p).
+--window is also the oracle's read window, and --precision overrides
+the ring's M.
+
 Exit codes: 0 success, 1 input error, 2 verification mismatch,
 3 precision instability.
 """
@@ -42,8 +53,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .dvr_core import RingDescriptor, make_ring
-from .laurent import series_from_json
+from .dvr_core import RElem, RingDescriptor, make_ring
+from .laurent import RLaurent
 from .oracle import boundary_reducedness, oracle_conductor
 from .pp_propagation import (
     PPInput,
@@ -234,9 +245,12 @@ class CoverSpecFile:
     genus: GenusSpec | None = None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _want_int(node, what: str) -> int:
-    if not isinstance(node, _Leaf) or not isinstance(node.value, int) \
-            or isinstance(node.value, bool):
+    if not isinstance(node, _Leaf) or not _is_int(node.value):
         raise SpecFileError(f"{what} must be an integer", node.line)
     return node.value
 
@@ -370,7 +384,7 @@ def parse_spec_text(text: str) -> CoverSpecFile:
                 raise SpecFileError("tower order must be a list of cover "
                                     "indices", block.line)
             for i in order.value:
-                if not isinstance(i, int) or isinstance(i, bool):
+                if not _is_int(i):
                     raise SpecFileError("tower order must be a list of "
                                         "cover indices", order.line)
             tower = tuple(order.value)
@@ -400,36 +414,15 @@ def load_spec(path: str) -> CoverSpecFile:
 # realization: spec entries to rings, equations, classification data
 # ---------------------------------------------------------------------------
 
-def _resolve_ring(spec: RingSpec | None,
-                  precision: int | None) -> RingDescriptor:
-    if spec is None:
-        spec = RingSpec(p=3)
-    p = spec.p
-    r_default, s_default, m_default = _RING_DEFAULTS.get(p, (p, 1, 6))
-    return make_ring(p,
-                     spec.r if spec.r is not None else r_default,
-                     spec.s if spec.s is not None else s_default,
-                     precision if precision is not None
-                     else spec.M if spec.M is not None else m_default)
-
-
 def _default_prec(ring: RingDescriptor) -> int:
     # policy precision of the classification layer, not full capacity
     return ring.v_lambda * (ring.p + 1) + 2
 
 
-def _default_window(ring: RingDescriptor) -> int:
-    return max(18, 4 * ring.v_lambda + 2 * ring.p)
-
-
-def _digit_vector(value, line: int, ring: RingDescriptor) -> list:
-    """Normalize one coefficient to the serializer's full digit list."""
-    if isinstance(value, bool):
-        raise SpecFileError("coefficient must be an integer or digit list",
-                            line)
-    if isinstance(value, int):
-        head = value if ring.s == 1 else [value] + [0] * (ring.s - 1)
-        value = [head]
+def _coefficient(value, line: int, ring: RingDescriptor) -> RElem:
+    """One spec coefficient as an element of R known to full capacity."""
+    if _is_int(value):
+        value = [value]
     if not isinstance(value, list):
         raise SpecFileError("coefficient must be an integer or digit list",
                             line)
@@ -438,67 +431,64 @@ def _digit_vector(value, line: int, ring: RingDescriptor) -> list:
                             f"ring holds {ring.e}", line)
     digits = []
     for entry in value:
-        if ring.s == 1:
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise SpecFileError("digits must be integers", line)
-            digits.append(entry)
-        else:
-            if isinstance(entry, int) and not isinstance(entry, bool):
-                entry = [entry]
-            if not isinstance(entry, list) or len(entry) > ring.s or not \
-                    all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in entry):
-                raise SpecFileError(f"each pi-digit needs up to {ring.s} "
-                                    "integer coordinates", line)
-            digits.append(list(entry) + [0] * (ring.s - len(entry)))
-    pad = 0 if ring.s == 1 else [0] * ring.s
-    digits.extend([pad] * (ring.e - len(digits)))
-    return digits
+        if ring.s == 1 and not _is_int(entry):
+            raise SpecFileError("digits must be integers", line)
+        if _is_int(entry):
+            entry = [entry]
+        if not isinstance(entry, list) or len(entry) > ring.s or not \
+                all(_is_int(x) for x in entry):
+            raise SpecFileError(f"each pi-digit needs up to {ring.s} "
+                                "integer coordinates", line)
+        digits.append(tuple(x % ring.pM for x in entry)
+                      + (0,) * (ring.s - len(entry)))
+    digits += [ring.gr_zero()] * (ring.e - len(digits))
+    return RElem(ring, tuple(digits), ring.e * ring.M)
 
 
-def build_equation(cover: CoverSpec, ring: RingDescriptor,
-                   window: int | None = None,
-                   prec: int | None = None,
-                   file_window: int | None = None) -> TorsorEquation:
-    """window is the command-line override, file_window the ring-block
-    default; the cover's own window sits between the two."""
-    if not cover.concrete:
-        raise SpecFileError("this command needs concrete covers "
-                            "(kind/terms)", cover.line)
-    coeffs = {str(exp): _digit_vector(value, line, ring)
-              for exp, value, line in cover.terms}
-    hi = window if window is not None else \
-        cover.window if cover.window is not None else \
-        file_window if file_window is not None else _default_window(ring)
+def _first(*values):
+    """The first value that is set, for settings that override in order."""
+    return next(v for v in values if v is not None)
+
+
+def _realize(spec: CoverSpecFile, precision: int | None,
+             window: int | None, concrete: bool = False) -> tuple:
+    """(ring, equations, data) for the covers of `spec`, in file order.
+
+    An abstract cover has no equation (None); with `concrete` it is an
+    input error.  `precision` overrides the ring's M and `window` every
+    equation's window, as the command-line options do.
+    """
+    rs = spec.ring or RingSpec(p=3)
+    r, s, M = _RING_DEFAULTS.get(rs.p, (rs.p, 1, 6))
     try:
-        series = series_from_json(ring, {
-            "window": [min(exp for exp, _, _ in cover.terms), hi],
-            "prec": prec if prec is not None else _default_prec(ring),
-            "coeffs": coeffs,
-        })
-        return TorsorEquation(cover.kind, series, cover.n)
+        ring = make_ring(rs.p, _first(rs.r, r), _first(rs.s, s),
+                         _first(precision, rs.M, M))
     except ValueError as err:
-        raise SpecFileError(str(err), cover.line) from None
-
-
-def realize_cover(cover: CoverSpec, ring: RingDescriptor,
-                  window: int | None = None,
-                  prec: int | None = None,
-                  file_window: int | None = None) -> TorsorData:
-    if cover.concrete:
+        raise SpecFileError(str(err), rs.line) from None
+    prec = _first(rs.series_prec, _default_prec(ring))
+    equations, data = [], []
+    for cover in spec.covers:
+        if concrete and not cover.concrete:
+            raise SpecFileError("this command needs concrete covers "
+                                "(kind/terms)", cover.line)
+        coeffs = {exp: _coefficient(value, line, ring)
+                  for exp, value, line in cover.terms}
+        hi = _first(window, cover.window, rs.window,
+                    max(18, 4 * ring.v_lambda + 2 * ring.p))
+        eq, failed = None, ""
         try:
-            return classify(build_equation(cover, ring, window, prec,
-                                           file_window))
-        except SpecFileError:
-            raise
+            if cover.concrete:
+                eq = TorsorEquation(cover.kind, RLaurent.from_terms(
+                    ring, coeffs, hi=hi, prec=prec), cover.n)
+                failed = "cover does not classify: "
+                td = classify(eq)
+            else:
+                td = level_data(GroupTag(cover.tag, cover.n), cover.m, ring)
         except ValueError as err:
-            raise SpecFileError(f"cover does not classify: {err}",
-                                cover.line) from None
-    try:
-        tag = GroupTag(cover.tag, cover.n)
-    except ValueError as err:
-        raise SpecFileError(str(err), cover.line) from None
-    return level_data(tag, cover.m, ring)
+            raise SpecFileError(f"{failed}{err}", cover.line) from None
+        equations.append(eq)
+        data.append(td)
+    return ring, equations, data
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +497,13 @@ def realize_cover(cover: CoverSpec, ring: RingDescriptor,
 
 def _tag_str(tag: GroupTag | None) -> str | None:
     return None if tag is None else str(tag)
+
+
+def _agrees(reading, want_m: int, want_tag: GroupTag | None) -> bool:
+    """An oracle reading (m, tag, ...) agrees with the formula: on m
+    always, and on the tag when the formula gives one."""
+    return reading[0] == want_m and (want_tag is None
+                                     or reading[1] == want_tag)
 
 
 def _ring_report(ring: RingDescriptor) -> dict:
@@ -535,32 +532,17 @@ def _trace_report(log) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def _file_window(spec: CoverSpecFile) -> int | None:
-    return spec.ring.window if spec.ring else None
-
-
-def _file_prec(spec: CoverSpecFile) -> int | None:
-    return spec.ring.series_prec if spec.ring else None
-
-
 def cmd_classify(spec: CoverSpecFile, *, precision: int | None = None,
-                 window: int | None = None) -> dict:
+                 window: int | None = None) -> tuple:
     if not spec.covers:
         raise SpecFileError("no cover blocks to classify")
-    ring = _resolve_ring(spec.ring, precision)
-    rows = []
-    for index, cover in enumerate(spec.covers):
-        if not cover.concrete:
-            raise SpecFileError("classify needs concrete covers",
-                                cover.line)
-        td = realize_cover(cover, ring, window, _file_prec(spec),
-                           _file_window(spec))
-        tag = td.group_tag
-        rows.append({"index": index, "kind": cover.kind,
-                     "group": _tag_str(tag), "n": tag.n, "m": td.m,
-                     "c": td.c, "delta": td.delta})
+    ring, _, data = _realize(spec, precision, window, concrete=True)
+    rows = [{"index": index, "kind": cover.kind,
+             "group": _tag_str(td.group_tag), "n": td.group_tag.n,
+             "m": td.m, "c": td.c, "delta": td.delta}
+            for index, (cover, td) in enumerate(zip(spec.covers, data))]
     return {"command": "classify", "ring": _ring_report(ring),
-            "covers": rows}
+            "covers": rows}, 0
 
 
 def _upper_report(res) -> dict:
@@ -580,10 +562,8 @@ def cmd_propagate(spec: CoverSpecFile, *, oracle: bool = False,
                   window: int | None = None) -> tuple:
     if len(spec.covers) != 2:
         raise SpecFileError("propagate needs exactly two covers")
-    ring = _resolve_ring(spec.ring, precision)
-    prec, fwin = _file_prec(spec), _file_window(spec)
-    td1 = realize_cover(spec.covers[0], ring, window, prec, fwin)
-    td2 = realize_cover(spec.covers[1], ring, window, prec, fwin)
+    ring, (eq1, eq2), (td1, td2) = _realize(spec, precision, window,
+                                            concrete=oracle)
     report = {"command": "propagate", "ring": _ring_report(ring),
               "lower": [_lower_report(td1), _lower_report(td2)]}
     res = None
@@ -602,8 +582,6 @@ def cmd_propagate(spec: CoverSpecFile, *, oracle: bool = False,
                               "conductors")
     if not oracle:
         return report, 0
-    eq1 = build_equation(spec.covers[0], ring, window, prec, fwin)
-    eq2 = build_equation(spec.covers[1], ring, window, prec, fwin)
     try:
         fwd = oracle_conductor(eq1, eq2, hi=window, with_log=trace)
         rev = oracle_conductor(eq2, eq1, hi=window, with_log=trace)
@@ -617,25 +595,21 @@ def cmd_propagate(spec: CoverSpecFile, *, oracle: bool = False,
         report["oracle"]["trace2"] = _trace_report(rev[2])
     if res is None:
         return report, 0
-    ok = (fwd[0], rev[0]) == (res.m1p, res.m2p)
-    if res.g1p is not None:
-        ok = ok and (fwd[1], rev[1]) == (res.g1p, res.g2p)
+    ok = _agrees(fwd, res.m1p, res.g1p) and _agrees(rev, res.m2p, res.g2p)
     report["match"] = ok
     return report, 0 if ok else 2
 
 
 def cmd_tower(spec: CoverSpecFile, *, precision: int | None = None,
-              window: int | None = None) -> dict:
+              window: int | None = None) -> tuple:
     if spec.tower is None:
         raise SpecFileError("no tower block")
-    ring = _resolve_ring(spec.ring, precision)
-    prec, fwin = _file_prec(spec), _file_window(spec)
     order = spec.tower or tuple(range(len(spec.covers)))
     for i in order:
         if not 0 <= i < len(spec.covers):
             raise SpecFileError(f"tower order index {i} out of range")
-    levels = [realize_cover(spec.covers[i], ring, window, prec, fwin)
-              for i in order]
+    ring, _, data = _realize(spec, precision, window)
+    levels = [data[i] for i in order]
     try:
         result = tower_propagate(levels, ring)
     except ValueError as err:
@@ -647,10 +621,10 @@ def cmd_tower(spec: CoverSpecFile, *, precision: int | None = None,
     if "top" in result:
         report["top"] = _upper_report(result["top"])
         report["c_top"] = list(result["c_top"])
-    return report
+    return report, 0
 
 
-def cmd_genus(spec: CoverSpecFile) -> dict:
+def cmd_genus(spec: CoverSpecFile) -> tuple:
     g = spec.genus
     if g is None:
         raise SpecFileError("no genus block")
@@ -691,7 +665,7 @@ def cmd_genus(spec: CoverSpecFile) -> dict:
         report["smooth"] = None
         report["smooth_reason"] = ("criterion applies to a genus-zero "
                                    "germ with one boundary")
-    return report
+    return report, 0
 
 
 def cmd_torsor_check(spec: CoverSpecFile, *, oracle: bool = False,
@@ -699,10 +673,9 @@ def cmd_torsor_check(spec: CoverSpecFile, *, oracle: bool = False,
                      window: int | None = None) -> tuple:
     if len(spec.covers) < 2:
         raise SpecFileError("torsor-check needs at least two covers")
-    ring = _resolve_ring(spec.ring, precision)
-    prec, fwin = _file_prec(spec), _file_window(spec)
-    data = [realize_cover(c, ring, window, prec, fwin)
-            for c in spec.covers]
+    if oracle and len(spec.covers) != 2:
+        raise SpecFileError("--oracle cross-checks exactly two covers")
+    _, equations, data = _realize(spec, precision, window, concrete=oracle)
     tags = [td.group_tag for td in data]
     etale = sum(1 for t in tags if t.kind == "Etale")
     verdict = is_fiber_product_torsor(tags)
@@ -714,12 +687,8 @@ def cmd_torsor_check(spec: CoverSpecFile, *, oracle: bool = False,
               "etale_count": etale, "verdict": verdict, "reason": reason}
     if not oracle:
         return report, 0
-    if len(spec.covers) != 2:
-        raise SpecFileError("--oracle cross-checks exactly two covers")
-    eq1 = build_equation(spec.covers[0], ring, window, prec, fwin)
-    eq2 = build_equation(spec.covers[1], ring, window, prec, fwin)
     try:
-        reduced = boundary_reducedness(eq1, eq2, hi=window)
+        reduced = boundary_reducedness(*equations, hi=window)
     except ValueError as err:
         report["oracle"] = {"unstable": str(err)}
         return report, 3
@@ -796,48 +765,44 @@ def _grid_cells(preset: str) -> list:
                         "(quick, deep, p5, all)")
 
 
-def _cell_equation(ring, spec: tuple, window: int | None) -> TorsorEquation:
-    kind, terms, n = spec
-    cover = CoverSpec(line=0, kind=kind,
-                      terms=tuple((e, c, 0) for e, c in terms.items()),
-                      n=n)
-    return build_equation(cover, ring, window)
+def _formula(td1: TorsorData, td2: TorsorData, ring) -> tuple:
+    """The closed form's (m, tag) for cover 2 pulled back over cover 1."""
+    try:
+        res = propagate(PPInput(td1, td2, ring))
+    except ValueError as err:
+        raise SpecFileError(f"the closed form refuses this pair: {err}") \
+            from None
+    return res.m1p, res.g1p
 
 
 def _check_pair(label: str, ring, eq1, eq2, hi: int | None,
-                pinned: tuple | None = None) -> dict:
+                want: tuple) -> dict:
     """One verify row: the oracle's reading of eq2 over eq1 on window hi
-    against the closed form, or against `pinned` (m, tag) when given."""
+    against `want`, the (m, tag) of the closed form or of a pinned cell."""
     row = {"case": label,
-           "ring": f"p{ring.p} r{ring.v_lambda} s{ring.s}"}
-    if pinned is not None:
-        want_m, want_tag = pinned
-    else:
-        res = propagate(PPInput(classify(eq1), classify(eq2), ring))
-        want_m, want_tag = res.m1p, res.g1p
-    row["formula_m"] = want_m
-    row["formula_tag"] = _tag_str(want_tag)
+           "ring": f"p{ring.p} r{ring.v_lambda} s{ring.s}",
+           "formula_m": want[0], "formula_tag": _tag_str(want[1])}
     try:
-        got_m, got_tag = oracle_conductor(eq1, eq2, hi=hi)
+        got = oracle_conductor(eq1, eq2, hi=hi)
     except ValueError as err:
         row.update(oracle_m=None, oracle_tag=None,
                    status=f"unstable: {err}")
         return row
-    row["oracle_m"] = got_m
-    row["oracle_tag"] = _tag_str(got_tag)
-    ok = got_m == want_m and (want_tag is None or got_tag == want_tag)
-    row["status"] = "match" if ok else "mismatch"
+    row["oracle_m"] = got[0]
+    row["oracle_tag"] = _tag_str(got[1])
+    row["status"] = "match" if _agrees(got, *want) else "mismatch"
     return row
 
 
 def _run_cell(cell: _Cell, window: int | None) -> dict:
     ring = make_ring(*cell.ring_args)
     win = window if window is not None else cell.window
-    eq_window = max(60, win or 0)
-    return _check_pair(cell.label, ring,
-                       _cell_equation(ring, cell.eq1, eq_window),
-                       _cell_equation(ring, cell.eq2, eq_window),
-                       win, cell.pinned)
+    eq1, eq2 = (TorsorEquation(kind, RLaurent.from_terms(
+        ring, terms, hi=max(60, win or 0), prec=_default_prec(ring)), n)
+        for kind, terms, n in (cell.eq1, cell.eq2))
+    want = cell.pinned if cell.pinned is not None else \
+        _formula(classify(eq1), classify(eq2), ring)
+    return _check_pair(cell.label, ring, eq1, eq2, win, want)
 
 
 def cmd_verify(spec: CoverSpecFile | None = None, *, grid: str = "quick",
@@ -846,11 +811,11 @@ def cmd_verify(spec: CoverSpecFile | None = None, *, grid: str = "quick",
     if spec is not None and spec.covers:
         if len(spec.covers) != 2:
             raise SpecFileError("verify on a file needs exactly two covers")
-        ring = _resolve_ring(spec.ring, precision)
-        eq1, eq2 = (build_equation(c, ring, window, _file_prec(spec),
-                                   _file_window(spec)) for c in spec.covers)
+        ring, (eq1, eq2), data = _realize(spec, precision, window,
+                                          concrete=True)
         grid = "file"
-        rows = [_check_pair("file pair", ring, eq1, eq2, window)]
+        rows = [_check_pair("file pair", ring, eq1, eq2, window,
+                            _formula(*data, ring))]
     elif precision is not None:
         raise SpecFileError("--precision applies to --spec runs; grid "
                             "cells carry their own M")
@@ -928,61 +893,51 @@ def _emit(report: dict, as_json: bool):
               f"{s['unstable']} unstable")
 
 
+# command -> (function, its options in help order); each function takes
+# the loaded spec (or None) and its options, and returns (report, code)
+_COMMANDS = {
+    "classify": (cmd_classify, ("precision", "window")),
+    "propagate": (cmd_propagate, ("precision", "window", "oracle", "trace")),
+    "tower": (cmd_tower, ("precision", "window")),
+    "genus": (cmd_genus, ()),
+    "torsor-check": (cmd_torsor_check, ("precision", "window", "oracle")),
+    "verify": (cmd_verify, ("precision", "window", "grid")),
+}
+
+_OPTIONS = {
+    "precision": dict(type=int, metavar="N", help="override ring capacity M"),
+    "window": dict(type=int, metavar="W", help="override series window"),
+    "oracle": dict(action="store_true",
+                   help="cross-check with the series oracle"),
+    "trace": dict(action="store_true", help="include oracle stage logs"),
+    "grid": dict(default="quick", choices=("quick", "deep", "p5", "all")),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="germrh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("classify", "propagate", "tower", "genus", "torsor-check",
-                 "verify"):
+    for name, (_, options) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--spec", required=(name != "verify"),
                          help="cover spec file")
         cmd.add_argument("--json", action="store_true")
-        if name != "genus":
-            cmd.add_argument("--precision", type=int, metavar="N",
-                             help="override ring capacity M")
-            cmd.add_argument("--window", type=int, metavar="W",
-                             help="override series window")
-        if name in ("propagate", "torsor-check"):
-            cmd.add_argument("--oracle", action="store_true",
-                             help="cross-check with the series oracle")
-        if name == "propagate":
-            cmd.add_argument("--trace", action="store_true",
-                             help="include oracle stage logs")
-        if name == "verify":
-            cmd.add_argument("--grid", default="quick",
-                             choices=("quick", "deep", "p5", "all"))
+        for option in options:
+            cmd.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        spec = load_spec(args.spec) if args.spec else None
-        if args.command == "classify":
-            report, code = cmd_classify(spec, precision=args.precision,
-                                        window=args.window), 0
-        elif args.command == "propagate":
-            report, code = cmd_propagate(spec, oracle=args.oracle,
-                                         trace=args.trace,
-                                         precision=args.precision,
-                                         window=args.window)
-        elif args.command == "tower":
-            report, code = cmd_tower(spec, precision=args.precision,
-                                     window=args.window), 0
-        elif args.command == "genus":
-            report, code = cmd_genus(spec), 0
-        elif args.command == "torsor-check":
-            report, code = cmd_torsor_check(spec, oracle=args.oracle,
-                                            precision=args.precision,
-                                            window=args.window)
-        else:
-            report, code = cmd_verify(spec, grid=args.grid,
-                                      precision=args.precision,
-                                      window=args.window)
+        options = vars(_build_parser().parse_args(argv))
+        command, path = options.pop("command"), options.pop("spec")
+        as_json = options.pop("json")
+        report, code = _COMMANDS[command][0](
+            load_spec(path) if path else None, **options)
     except SpecFileError as err:
         print(f"germrh: error: {err}", file=sys.stderr)
         return 1
-    _emit(report, args.json)
+    _emit(report, as_json)
     return code
 
 

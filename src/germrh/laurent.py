@@ -866,43 +866,3 @@ def reduce_kummer_unit(u: RLaurent):
     raise ValueError("increase precision/window (no stable reading within "
                      "the iteration budget)")
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def series_to_json(u: RLaurent) -> dict:
-    coeffs = {}
-    for exp, c in u.coeffs.items():
-        if u.ring.s == 1:
-            coeffs[str(exp)] = [g[0] for g in c.coeffs]
-        else:
-            coeffs[str(exp)] = [list(g) for g in c.coeffs]
-    return {"window": [u.lo, u.hi], "prec": u.prec, "coeffs": coeffs}
-
-
-def series_from_json(ring: RingDescriptor, data: dict) -> RLaurent:
-    coeffs = {}
-    for exp, digits in data["coeffs"].items():
-        if ring.s == 1:
-            vec = tuple((int(d) % ring.pM,) for d in digits)
-        else:
-            vec = tuple(tuple(int(x) % ring.pM for x in g) for g in digits)
-        if len(vec) != ring.e:
-            raise ValueError(f"coefficient at {exp} needs {ring.e} digits")
-        coeffs[int(exp)] = RElem(ring, vec, ring.e * ring.M)
-    lo, hi = data.get("window", [None, INF_EXP])
-    if lo is None:
-        lo = min(coeffs, default=0)
-    prec = data.get("prec") or ring.e * ring.M
-    return RLaurent(ring, coeffs, lo, hi, prec)
-
-
-def kseries_to_json(u: KLaurent) -> dict:
-    return {"hi": u.hi,
-            "coeffs": {str(e): list(c) for e, c in u.coeffs.items()}}
-
-
-def kseries_from_json(field: Fq, data: dict) -> KLaurent:
-    coeffs = {int(e): field.element(c) for e, c in data["coeffs"].items()}
-    return KLaurent(field, coeffs, data.get("hi", INF_EXP))

@@ -28,6 +28,8 @@ cover:
     -2: 1
 """
 
+PAIR = ETALE_PAIR.format(extra="")
+
 GENUS = """\
 genus:
   p: 3
@@ -37,6 +39,114 @@ genus:
   boundary:
     pattern: PP
 """
+
+CLASSIFY = """\
+ring:
+  p: 3
+  r: 3
+  M: 4
+cover:
+  kind: kummer
+  terms:
+    0: 1
+    2: [1, 0, 2]
+cover:
+  kind: etale
+  terms:
+    -5: 1
+cover:
+  kind: hn
+  n: 1
+  terms:
+    1: 1
+    2: 1
+"""
+
+TOWER = """\
+ring:
+  p: 3
+  r: 3
+cover:
+  tag: etale
+  m: -5
+cover:
+  tag: mu_p
+  m: 2
+cover:
+  tag: etale
+  m: -3
+tower:
+"""
+
+
+def lower(group, m, delta):
+    return {"group": group, "m": m, "c": -m, "delta": delta}
+
+
+def upper(m1p, m2p, g1p, g2p, d1p, d2p, ds, delta_total):
+    return {"m1p": m1p, "m2p": m2p, "c1p": -m1p, "c2p": -m2p, "g1p": g1p,
+            "g2p": g2p, "d1p": d1p, "d2p": d2p, "ds": ds,
+            "delta_total": delta_total}
+
+
+R33_M4 = {"p": 3, "r": 3, "s": 1, "M": 4}
+
+PAIR_PROPAGATE = {
+    "command": "propagate", "ring": R33_M4,
+    "lower": [lower("etale", -5, 0), lower("etale", -2, 0)],
+    "formula": upper(-2, -11, "etale", "etale", 0, 0, 26, 0)}
+
+
+def residue_trace(parameter, composed, witness, read):
+    return {"variable": "z", "stages": {
+        "route": "'residue'", "parameter": parameter,
+        "parameter_steps": "1", "residue_body": "<KLaurent 1 terms, hi=18>",
+        "composed": composed, "as_reduce_witness": witness, "read": read}}
+
+
+# --json reports recorded before the spec-to-equation path was rewritten;
+# they must not change.
+GOLDEN = [
+    pytest.param(["classify"], CLASSIFY, {
+        "command": "classify", "ring": R33_M4, "covers": [
+            {"index": 0, "kind": "Kummer", "group": "mu_p", "n": None,
+             "m": 2, "c": -2, "delta": 6},
+            {"index": 1, "kind": "Etale", "group": "etale", "n": None,
+             "m": -5, "c": 5, "delta": 0},
+            {"index": 2, "kind": "Hn", "group": "H_1", "n": 1, "m": 1,
+             "c": -1, "delta": 4}]}, id="classify"),
+    pytest.param(["propagate"], PAIR, PAIR_PROPAGATE, id="propagate"),
+    pytest.param(["propagate", "--oracle", "--trace"], PAIR, {
+        **PAIR_PROPAGATE,
+        "oracle": {
+            "m1p": -2, "reading1": "etale", "m2p": -11, "reading2": "etale",
+            "trace1": residue_trace(
+                "<KLaurent 4 terms, hi=57>", "<KLaurent 4 terms, hi=48>",
+                "<KLaurent 6 terms, hi=48>", "(-2, 'etale')"),
+            "trace2": residue_trace(
+                "<KLaurent 8 terms, hi=57>", "<KLaurent 10 terms, hi=39>",
+                "<KLaurent 10 terms, hi=39>", "(-11, 'etale')")},
+        "match": True}, id="propagate-oracle-trace"),
+    pytest.param(["tower"], TOWER, {
+        "command": "tower", "ring": {"p": 3, "r": 3, "s": 1, "M": 8},
+        "order": [0, 1, 2],
+        "lower": [lower("etale", -5, 0), lower("mu_p", 2, 6),
+                  lower("etale", -3, 0)],
+        "pairs": [upper(16, -5, "mu_p", "etale", 6, 0, -10, 6),
+                  upper(-3, 12, "etale", "mu_p", 0, 6, -14, 6)],
+        "top": upper(-3, -9, "etale", "etale", 0, 0, 28, 0),
+        "c_top": [3, 9]}, id="tower"),
+    pytest.param(["genus"], GENUS, {
+        "command": "genus", "p": 3, "g_x": 0, "r1": 2, "r2": 1, "d_eta": 18,
+        "d_s": 0, "g_y": 1, "smooth": False,
+        "smooth_reason": "pattern PP, p(r1+r2-1) = 6 vs 1 + c1p + c1*p = 5"},
+        id="genus"),
+    pytest.param(["torsor-check", "--oracle"], PAIR, {
+        "command": "torsor-check", "tags": ["etale", "etale"],
+        "etale_count": 2, "verdict": True, "reason": "2 étale factors ≥1",
+        "oracle": {"reduced": True}, "match": True},
+        id="torsor-check-oracle"),
+]
 
 
 def write(tmp_path, text):
@@ -62,9 +172,17 @@ def test_exported_names_resolve(module):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+@pytest.mark.parametrize("argv, text, want", GOLDEN)
+def test_golden_json(argv, text, want, tmp_path, capsys):
+    code, out, err = run(argv + ["--spec", write(tmp_path, text), "--json"],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == want
+
+
 class TestVerify:
     def test_file_pair_matches_like_a_grid_cell(self, tmp_path, capsys):
-        spec = write(tmp_path, ETALE_PAIR.format(extra=""))
+        spec = write(tmp_path, PAIR)
         code, out, _ = run(["verify", "--spec", spec, "--json"], capsys)
         report = json.loads(out)
         assert code == 0
@@ -91,6 +209,22 @@ class TestVerify:
         assert code == 3
         assert report["cells"][0]["status"] == "unstable: stub reading"
 
+    def test_window_order(self, tmp_path, monkeypatch):
+        """--window, then the cover's window, then the ring block's."""
+        seen = []
+
+        def stub(eq1, eq2, hi=None):
+            seen.append((eq1.u.hi, eq2.u.hi, hi))
+            raise ValueError("stub reading")
+
+        monkeypatch.setattr(cli, "oracle_conductor", stub)
+        text = ETALE_PAIR.format(extra="\n  window: 30").replace(
+            "kind: etale", "kind: etale\n  window: 40", 1)
+        spec = cli.load_spec(write(tmp_path, text))
+        cli.cmd_verify(spec)
+        cli.cmd_verify(spec, window=50)
+        assert seen == [(40, 30, None), (50, 50, 50)]
+
     def test_grid_rows_follow_preset_order(self, monkeypatch):
         fixture = preset_cell("fixture T x T+T^3")
         cells = [dataclasses.replace(fixture, label="fixture, wrong pin",
@@ -107,20 +241,56 @@ class TestVerify:
                                      "unstable": 0}
         assert code == 2
 
-    def test_window_below_lowest_term_is_an_input_error(self, tmp_path,
-                                                        capsys):
-        spec = write(tmp_path, ETALE_PAIR.format(extra=""))
-        code, out, err = run(["verify", "--spec", spec, "--window", "-8"],
-                             capsys)
-        assert code == 1 and out == ""
-        assert err == "germrh: error: line 5: widen window\n"
-
     def test_grid_rejects_precision(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_grid_cells", lambda preset: [])
         code, out, err = run(["verify", "--grid", "quick", "--precision",
                               "3"], capsys)
         assert code == 1 and out == ""
         assert "--precision applies to --spec runs" in err
+
+
+SEVEN_DIGITS = PAIR.replace("-5: 1", "-5: [1, 0, 0, 0, 0, 0, 1]")
+TRIVIAL = PAIR.replace("kind: etale", "kind: kummer", 1).replace("-5: 1",
+                                                                 "0: 1")
+KUMMER_T_T2 = PAIR.replace("kind: etale", "kind: kummer").replace(
+    "-5: 1", "1: 1").replace("-2: 1", "2: 1")
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(["verify", "--window", "-8"], PAIR,
+                 "line 5: widen window", id="window-below-lowest-term"),
+    pytest.param(["classify"], ETALE_PAIR.format(extra="\n  series_prec: 0"),
+                 "line 6: increase precision", id="series-prec-0"),
+    pytest.param(["classify"], ETALE_PAIR.format(
+        extra="\n  series_prec: -1"), "line 6: increase precision",
+                 id="series-prec-negative"),
+    pytest.param(["classify"], PAIR.replace("p: 3", "p: 4"),
+                 "line 1: p = 4 is not prime", id="ring-p-4"),
+    pytest.param(["classify"], PAIR.replace("r: 3", "r: 0"),
+                 "line 1: need r >= 1 and s >= 1", id="ring-r-0"),
+    pytest.param(["classify"], ETALE_PAIR.format(extra="\n  s: 0"),
+                 "line 1: need r >= 1 and s >= 1", id="ring-s-0"),
+    pytest.param(["classify"], PAIR.replace("M: 4", "M: 1"),
+                 "line 1: need M >= 2 to separate zeta_p from 1",
+                 id="ring-M-1"),
+    pytest.param(["classify", "--precision", "1"], PAIR,
+                 "line 1: need M >= 2 to separate zeta_p from 1",
+                 id="precision-1"),
+    pytest.param(["classify"], SEVEN_DIGITS,
+                 "line 8: coefficient has 7 pi-digits; the ring holds 6",
+                 id="more-pi-digits-than-e"),
+    pytest.param(["verify"], TRIVIAL, "line 5: cover does not classify: "
+                 "trivial torsor (p-th power to precision)",
+                 id="verify-cover-does-not-classify"),
+    pytest.param(["verify"], KUMMER_T_T2, "the closed form refuses this "
+                 "pair: use oracle (both conductors vanish; the closed form "
+                 "needs at least one non-zero)",
+                 id="verify-closed-form-refuses"),
+])
+def test_input_error_exits_1(argv, text, message, tmp_path, capsys):
+    code, out, err = run(argv + ["--spec", write(tmp_path, text)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"germrh: error: {message}\n"
 
 
 def test_malformed_spec_names_its_line(tmp_path, capsys):

@@ -19,13 +19,9 @@ from germrh.laurent import (
     invert_unit,
     is_pth_power,
     kbinom_power,
-    kseries_from_json,
-    kseries_to_json,
     ksubstitute,
     reduce_kummer_unit,
-    series_from_json,
     series_root,
-    series_to_json,
     substitute,
 )
 
@@ -547,32 +543,6 @@ class TestStripPthPowers:
             chk = u * (w ** 3)
             assert chk.eq_mod(out.restrict(hi=chk.hi, prec=chk.prec))
         assert hits >= 4
-
-
-class TestSerialization:
-    def test_r_series_roundtrip(self):
-        rng = random.Random(13)
-        u = random_series(R32, rng)
-        data = series_to_json(u)
-        v = series_from_json(R32, data)
-        assert v.eq_mod(u) and (v.lo, v.hi, v.prec) == (u.lo, u.hi, u.prec)
-
-    def test_r_series_roundtrip_s2(self):
-        rng = random.Random(14)
-        u = random_series(RS2, rng)
-        v = series_from_json(RS2, series_to_json(u))
-        assert v.eq_mod(u)
-
-    def test_k_series_roundtrip(self):
-        F = R52.field
-        u = KLaurent.from_terms(F, {-2: 3, 0: 1, 5: 4}, hi=9)
-        v = kseries_from_json(F, kseries_to_json(u))
-        assert v.coeffs == u.coeffs and v.hi == u.hi
-
-    def test_digit_count_checked(self):
-        with pytest.raises(ValueError, match="digits"):
-            series_from_json(R32, {"window": [0, 4], "prec": 8,
-                                   "coeffs": {"0": [1, 2]}})
 
 
 @settings(max_examples=60, deadline=None)
