@@ -566,20 +566,21 @@ def cmd_propagate(spec: CoverSpecFile, *, oracle: bool = False,
                                             concrete=oracle)
     report = {"command": "propagate", "ring": _ring_report(ring),
               "lower": [_lower_report(td1), _lower_report(td2)]}
+    hint = ("run with --oracle" if None not in (eq1, eq2) else
+            "the oracle needs concrete covers (kind/terms)")
     res = None
     try:
-        res = propagate(PPInput(td1, td2, ring))
+        res = _closed_form(td1, td2, ring)
     except ValueError as err:
         if not oracle:
-            raise SpecFileError(f"{err}; run with --oracle") from None
+            raise SpecFileError(f"{err}; {hint}") from None
         report["formula"] = None
         report["note"] = str(err)
     if res is not None:
         report["formula"] = _upper_report(res)
         if res.d1p is None:
             report["note"] = ("no integral level for the different table "
-                              "here; run with --oracle to cross-check "
-                              "conductors")
+                              f"here; {hint} to cross-check conductors")
     if not oracle:
         return report, 0
     try:
@@ -765,10 +766,19 @@ def _grid_cells(preset: str) -> list:
                         "(quick, deep, p5, all)")
 
 
+def _closed_form(td1: TorsorData, td2: TorsorData, ring):
+    """propagate, refusing equal tags and conductors too: the two leads
+    can cancel, so the pulled-back class depends on the coefficients."""
+    res = propagate(PPInput(td1, td2, ring))
+    if (td1.group_tag, td1.m) == (td2.group_tag, td2.m):
+        raise ValueError("equal tags and conductors: the leads can cancel")
+    return res
+
+
 def _formula(td1: TorsorData, td2: TorsorData, ring) -> tuple:
     """The closed form's (m, tag) for cover 2 pulled back over cover 1."""
     try:
-        res = propagate(PPInput(td1, td2, ring))
+        res = _closed_form(td1, td2, ring)
     except ValueError as err:
         raise SpecFileError(f"the closed form refuses this pair: {err}") \
             from None

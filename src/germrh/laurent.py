@@ -666,12 +666,12 @@ def series_root(u: RLaurent, m: int) -> RLaurent:
     return s.scale(root_lead).shift(ell // m)
 
 
-def _add_powers(acc, u, phi, invert):
-    """acc + sum of u_i phi^i over u's nonzero exponents i, walking the
-    powers of phi incrementally away from 0 in each direction.  invert()
-    gives phi^-1 and runs only when u has negative exponents."""
+def _powers(exps, phi, invert):
+    """(i, phi^i) over the nonzero exponents i, walking the powers of phi
+    incrementally away from 0 in each direction.  invert() gives phi^-1
+    and runs only when some exponent is negative."""
     for sign in (1, -1):
-        ks = sorted(sign * i for i in u.coeffs if sign * i > 0)
+        ks = sorted(sign * i for i in exps if sign * i > 0)
         if not ks:
             continue
         base = phi if sign > 0 else invert()
@@ -680,8 +680,7 @@ def _add_powers(acc, u, phi, invert):
             step = base ** (k - cur)
             power = step if power is None else power * step
             cur = k
-            acc = acc + power.scale(u.coeffs[sign * k])
-    return acc
+            yield sign * k, power
 
 
 def substitute(u: RLaurent, phi: RLaurent) -> RLaurent:
@@ -694,7 +693,9 @@ def substitute(u: RLaurent, phi: RLaurent) -> RLaurent:
     if 0 in u.coeffs:
         acc = acc + RLaurent.from_terms(ring, {0: u.coeffs[0]}, lo=0,
                                         prec=prec)
-    return _add_powers(acc, u, phi, lambda: invert_unit(phi))
+    for i, power in _powers(u.coeffs, phi, lambda: invert_unit(phi)):
+        acc = acc + power.scale(u.coeffs[i])
+    return acc
 
 
 def ksubstitute(u: KLaurent, phi: KLaurent, hi: int | None = None) -> KLaurent:
@@ -703,7 +704,9 @@ def ksubstitute(u: KLaurent, phi: KLaurent, hi: int | None = None) -> KLaurent:
     acc = KLaurent.zero(F)
     if 0 in u.coeffs:
         acc = acc + KLaurent.from_terms(F, {0: u.coeffs[0]})
-    return _add_powers(acc, u, phi, lambda: phi.inverse(hi=hi))
+    for i, power in _powers(u.coeffs, phi, lambda: phi.inverse(hi=hi)):
+        acc = acc + power.scale(u.coeffs[i])
+    return acc
 
 
 def div_pi(u: RLaurent, j: int) -> RLaurent:

@@ -33,10 +33,10 @@ from .laurent import (
     KLaurent,
     RLaurent,
     ZERO_CLASS,
+    _powers,
     as_reduce_witness,
     binom_power,
     div_pi,
-    invert_unit,
     is_pth_power,
     kbinom_power,
     ksubstitute,
@@ -65,7 +65,8 @@ class PulledBackEquation:
     over R (variable Z) for pairs without an etale factor, the residue
     class body (variable z) otherwise.  stage_log records every
     reduction applied on the way, each with the witness that makes the
-    step re-checkable.
+    step re-checkable; its inversion_steps and parameter_steps count the
+    passes of the Newton reversion that solved for the parameter.
     """
 
     variable: str
@@ -182,10 +183,7 @@ def boundary_reducedness(eq1: TorsorEquation, eq2: TorsorEquation,
     if td2.group_tag.kind == "Etale":
         return True
     hi0 = _default_hi(eq1, eq2) if hi is None else hi
-    if td1.group_tag.kind == "Etale":
-        tbar, _ = _original_parameter_k(td1, hi0)
-    else:
-        tbar = _parameter_residue(td1, hi0)
+    tbar, _ = _parameter_residue(td1, hi0)
     return not is_pth_power(pullback(eq2, tbar, hi=hi0).rhs)
 
 
@@ -258,11 +256,7 @@ def _conductor_once(eq1, td1, eq2, td2, hi, wide):
 
 
 def _residue_route(td1, eq2, td2, hi):
-    if td1.group_tag.kind == "Etale":
-        tbar, steps = _original_parameter_k(td1, hi)
-    else:
-        tbar = _parameter_residue(td1, hi)
-        steps = None
+    tbar, steps = _parameter_residue(td1, hi)
     peq = pullback(eq2, tbar, hi=hi)
     log = (("route", "residue"), ("parameter", tbar),
            ("parameter_steps", steps)) + peq.stage_log
@@ -323,24 +317,10 @@ def _fold_constant(w: KLaurent, log):
 # ---------------------------------------------------------------------------
 
 def _presented_parameter(s: RLaurent, hi_x: int):
-    """Invert the parameter change compositionally, downstairs.
-
-    Solves phi(x) * s(phi(x)) = x for phi, the presented parameter of
-    the base cover written in its normal-form one.  phi lives in
-    exponents >= 1, so products only improve windows here and the fixed
-    point phi <- x/s(phi) gains one exponent of accuracy per pass; the
-    window caps the iteration count.
-    """
-    ring = s.ring
-    x = RLaurent.monomial(ring, 1, prec=s.prec).restrict(hi=hi_x)
-    phi = x
-    for steps in range(1, hi_x + 5):
-        nxt = (x * invert_unit(substitute(s, phi))).restrict(hi=hi_x)
-        if (nxt - phi).is_zero():
-            return nxt, steps
-        phi = nxt
-    raise ValueError("parameter inversion exceeded the iteration budget; "
-                     "widen window")
+    """(phi, passes): the presented parameter of the base cover in its
+    normal-form one x, phi(x) * s(phi(x)) = x up to x^hi_x, by Newton."""
+    x = RLaurent.monomial(s.ring, 1, prec=s.prec).restrict(hi=hi_x)
+    return _reversion(s, x)
 
 
 def _compose_exact(psi: RLaurent, td1: TorsorData, depth: int) -> RLaurent:
@@ -362,64 +342,76 @@ def _compose_exact(psi: RLaurent, td1: TorsorData, depth: int) -> RLaurent:
     if 0 in psi.coeffs:
         acc = acc + RLaurent.from_terms(ring, {0: psi.coeffs[0]}, lo=0,
                                         prec=prec)
-    pos = sorted(j for j in psi.coeffs if j > 0)
-    neg = sorted((j for j in psi.coeffs if j < 0), reverse=True)
-    if pos:
+    for sign in (1, -1):
+        js = sorted(sign * j for j in psi.coeffs if sign * j > 0)
+        if not js:
+            continue
+        step = G if sign > 0 else binom_power(G, -1)
         power, at = RLaurent.one(ring, prec=prec), 0
-        for j in pos:
+        for j in js:
             for _ in range(j - at):
-                power = power * G
+                power = power * step
             at = j
-            acc = acc + power.shift(p * j).scale(psi.coeffs[j])
-    if neg:
-        g_inv = binom_power(G, -1)
-        power, at = RLaurent.one(ring, prec=prec), 0
-        for j in neg:
-            for _ in range(at - j):
-                power = power * g_inv
-            at = j
-            acc = acc + power.shift(p * j).scale(psi.coeffs[j])
+            acc = acc + power.shift(p * sign * j).scale(psi.coeffs[sign * j])
     return acc
 
 
-def _parameter_residue(td: TorsorData, hi: int) -> KLaurent:
-    """Residue of the presented parameter of a non-etale cover.
+def _parameter_residue(td: TorsorData, hi: int) -> tuple:
+    """(tbar, passes): the base cover's presented parameter mod pi.
 
-    The level tail of the expansion carries positive valuation, so mod
-    pi the normal-form parameter is plain z^p and only the parameter
-    change survives: tbar = phibar(z^p), supported inside pZ.
+    Etale bases solve for it outright.  Otherwise the level tail of the
+    expansion has positive valuation, so the normal-form parameter is
+    z^p mod pi and tbar = phibar(z^p), phibar * sbar(phibar) = z.
     """
+    if td.group_tag.kind == "Etale":
+        return _original_parameter_k(td, hi)
     sbar = td.parameter_change.residue()
     F = sbar.field
-    p = F.p
-    hi_x = min(max(4, hi // p + 2), sbar.hi)
-    x = KLaurent.from_terms(F, {1: 1}, hi=hi_x)
-    phibar = x
-    for _ in range(hi_x + 4):
-        s_at = ksubstitute(sbar, phibar, hi=hi_x)
-        nxt = (x * s_at.inverse(hi_x)).restrict_hi(hi_x)
-        if (nxt - phibar).is_zero():
-            break
-        phibar = nxt
-    else:
-        raise ValueError("parameter inversion exceeded the iteration "
-                         "budget; widen window")
-    zcover = KLaurent.from_terms(F, {p: 1})
-    return ksubstitute(phibar, zcover).restrict_hi(p * hi_x)
+    x = KLaurent(F, {1: F.one}, min(max(4, hi // F.p + 2), sbar.hi))
+    phibar, steps = _reversion(sbar, x)
+    zcover = KLaurent.monomial(F, F.p)
+    return ksubstitute(phibar, zcover).restrict_hi(F.p * x.hi), steps
 
 
 def _original_parameter_k(td, hi):
-    """Windowed fixed point for etale covers: t with t*sbar(t) = tbar'."""
+    """Etale covers: (t, passes) with t*sbar(t) = t' up to z^hi, t' the
+    normal-form expansion, by the Newton reversion from t'."""
     tprime = parameter_expansion(td, hi=hi)
-    sbar = td.parameter_change.residue()
-    t = tprime
-    cap = 10 * (hi + 1)
-    for steps in range(1, cap + 1):
-        s_at_t = ksubstitute(sbar, t, hi=hi)
-        t_new = (tprime * s_at_t.inverse(hi)).restrict_hi(hi)
-        if (t_new - t).is_zero():
-            return t_new, steps
-        t = t_new
+    return _reversion(td.parameter_change.residue(), tprime)
+
+
+def _reversion(s, target):
+    """(phi, passes) with phi * s(phi) = target on target's window.
+
+    Newton over R or F_q (Brent and Kung, J. ACM 25(4), 1978), s a unit
+    of nonnegative support: phi <- phi - (phi*s(phi) - target)*y, where
+    y <- y(2 - D*y) follows 1/D, D = s(phi) + phi*s'(phi) = ((Ts)')(phi).
+    Pass 1 checks the start phi = target on the whole window; each later
+    pass works up to twice the exponents the one before left right, and
+    the last finds the residual zero on the whole window at its precision.
+    """
+    # like(u, terms, w): the terms as a series like u, exact up to T^w
+    if isinstance(s, KLaurent):
+        sub, like = ksubstitute, lambda u, c, w: KLaurent(u.field, c, w)
+    else:
+        sub, like = substitute, lambda u, c, w: RLaurent(u.ring, c, u.lo, w,
+                                                          u.prec)
+    phi, y = target, like(s, s.coeffs, 0) ** -1
+    hi = w = target.hi
+    for steps in range(1, hi + 5):
+        phi, y = like(phi, phi.coeffs, w), like(y, y.coeffs, w)
+        # s(phi) and D = sum (e+1) s_e phi^e off one walk of phi's powers
+        at = D = sub(like(s, {0: s.coeffs[0]}, 0), phi)
+        for e, power in _powers(s.coeffs, phi, None):
+            term = power.scale(s.coeffs[e])
+            at, D = at + term, D + term.scale(e + 1)
+        resid = phi * at - target
+        if resid.is_zero() and resid.hi >= hi:
+            return phi, steps
+        y = y.scale(2) - y * (D * y)
+        phi = phi - resid * y
+        d = resid.min_support()
+        w = min(hi, 2 * (w if d is None else min(w, 2 * max(d, 1) - 1)))
     raise ValueError("parameter inversion exceeded the iteration budget; "
                      "widen window")
 

@@ -51,15 +51,6 @@ class PPInput:
     g2: TorsorData
     ring: RingDescriptor
 
-    def __post_init__(self):
-        # conductors are taken as given integers; whether they are
-        # realizable by a minimal equation is the classifier's concern
-        r = self.ring.v_lambda
-        for g in (self.g1, self.g2):
-            tag = g.group_tag
-            if tag.kind == "Hn" and not 0 < tag.n < r:
-                raise ValueError(f"level {tag.n} outside 0 < n < {r}")
-
 
 @dataclass(frozen=True)
 class PPResult:
@@ -112,8 +103,11 @@ def level_data(tag: GroupTag, m: int, ring: RingDescriptor) -> TorsorData:
     """Invariant-only record for a cover known by tag and conductor.
 
     Used for table-level work (towers, grids) where no equation has
-    been classified; the series-bearing fields stay empty.
+    been classified; the series-bearing fields stay empty.  An Hn level
+    must lie in 0 < n < r, as classify gives it; m is taken as given.
     """
+    if tag.kind == "Hn" and not 0 < tag.n < ring.v_lambda:
+        raise ValueError(f"level {tag.n} outside 0 < n < {ring.v_lambda}")
     delta = (ring.v_lambda - _level(tag, ring.v_lambda)) * (ring.p - 1)
     return TorsorData(tag, m, -m, delta, None, None, None)
 

@@ -250,6 +250,31 @@ class TestVerify:
 
 
 SEVEN_DIGITS = PAIR.replace("-5: 1", "-5: [1, 0, 0, 0, 0, 0, 1]")
+# etale t^-5 against t^-5 + t^-2: equal tags and conductors, and the
+# oracle reads the difference t^-2 where the tables would say -5
+EQUAL_CONDUCTORS = PAIR.replace("-2: 1", "-5: 1\n    -2: 1")
+H5_AT_R3 = """\
+ring:
+  p: 3
+  r: 3
+cover:
+  tag: hn
+  n: 5
+  m: 1
+cover:
+  tag: etale
+  m: -5
+"""
+MU_MU_M0 = """\
+cover:
+  tag: mu_p
+  m: 0
+cover:
+  tag: mu_p
+  m: 0
+"""
+KUMMER_EQUAL = PAIR.replace("kind: etale", "kind: kummer").replace(
+    "-5: 1", "0: 1\n    2: 1").replace("-2: 1", "0: 1\n    2: 1\n    3: 1")
 TRIVIAL = PAIR.replace("kind: etale", "kind: kummer", 1).replace("-5: 1",
                                                                  "0: 1")
 KUMMER_T_T2 = PAIR.replace("kind: etale", "kind: kummer").replace(
@@ -286,11 +311,92 @@ KUMMER_T_T2 = PAIR.replace("kind: etale", "kind: kummer").replace(
                  "pair: use oracle (both conductors vanish; the closed form "
                  "needs at least one non-zero)",
                  id="verify-closed-form-refuses"),
+    pytest.param(["verify"], EQUAL_CONDUCTORS, "the closed form refuses "
+                 "this pair: equal tags and conductors: the leads can "
+                 "cancel", id="verify-equal-conductors"),
+    pytest.param(["verify"], KUMMER_EQUAL, "the closed form refuses this "
+                 "pair: equal tags and conductors: the leads can cancel",
+                 id="verify-equal-kummer-conductors"),
+    pytest.param(["propagate"], EQUAL_CONDUCTORS, "equal tags and "
+                 "conductors: the leads can cancel; run with --oracle",
+                 id="propagate-equal-conductors"),
+    pytest.param(["torsor-check"], H5_AT_R3,
+                 "line 4: level 5 outside 0 < n < 3", id="abstract-hn-level"),
+    pytest.param(["propagate"], MU_MU_M0, "use oracle (both conductors "
+                 "vanish; the closed form needs at least one non-zero); the "
+                 "oracle needs concrete covers (kind/terms)",
+                 id="abstract-pair-closed-form-refuses"),
 ])
 def test_input_error_exits_1(argv, text, message, tmp_path, capsys):
     code, out, err = run(argv + ["--spec", write(tmp_path, text)], capsys)
     assert (code, out) == (1, "")
     assert err == f"germrh: error: {message}\n"
+
+
+OFF_GRID = """\
+ring:
+  p: 3
+  r: 3
+  M: 4
+cover:
+  kind: kummer
+  terms:
+    0: 1
+    2: 1
+cover:
+  kind: hn
+  n: 1
+  terms:
+    1: 1
+    2: 1
+"""
+OFF_GRID_ABSTRACT = """\
+cover:
+  tag: mu_p
+  m: 2
+cover:
+  tag: hn
+  n: 1
+  m: 1
+"""
+
+
+@pytest.mark.parametrize("text, advice", [
+    (OFF_GRID, "run with --oracle"),
+    (OFF_GRID_ABSTRACT, "the oracle needs concrete covers (kind/terms)")],
+    ids=["concrete", "abstract"])
+def test_off_grid_note_advises_what_applies(text, advice, tmp_path, capsys):
+    code, out, _ = run(["propagate", "--json", "--spec",
+                        write(tmp_path, text)], capsys)
+    assert code == 0
+    assert json.loads(out)["note"] == ("no integral level for the "
+                                       f"different table here; {advice} "
+                                       "to cross-check conductors")
+
+
+def test_equal_conductors_read_by_the_oracle_alone(tmp_path, capsys):
+    code, out, err = run(["propagate", "--oracle", "--json", "--spec",
+                          write(tmp_path, EQUAL_CONDUCTORS)], capsys)
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert report["formula"] is None and "match" not in report
+    assert report["note"].startswith("equal tags and conductors")
+    assert report["oracle"] == {"m1p": -2, "reading1": "etale",
+                                "m2p": -2, "reading2": "etale"}
+
+
+def test_unstable_oracle_reading_exits_3(monkeypatch):
+    """A real oracle run that reads nothing stable: an H2 base at r = 3
+    leaves the composed unit short of the p-th power threshold at the
+    default series precision."""
+    cell = cli._Cell("H2(1) x mu(2)", (3, 3, 1, 4), ("Hn", {1: 1, 2: 1}, 2),
+                     ("Kummer", {0: 1, 2: 1}, None), 60)
+    monkeypatch.setattr(cli, "_grid_cells", lambda preset: [cell])
+    report, code = cli.cmd_verify(grid="quick")
+    assert code == 3
+    assert report["summary"]["unstable"] == 1
+    assert report["cells"][0]["status"].startswith(
+        "unstable: increase precision")
 
 
 def test_malformed_spec_names_its_line(tmp_path, capsys):

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from germrh import oracle
 from germrh.dvr_core import make_ring
-from germrh.laurent import KLaurent, RLaurent, substitute
+from germrh.laurent import KLaurent, RLaurent, ksubstitute, substitute
 from germrh.oracle import (
     boundary_reducedness,
     oracle_conductor,
@@ -244,6 +245,45 @@ class TestReadingInvariance:
         assert oracle_conductor(moved, EQ33["h1"]) == (7, hn(1))
 
 
+class TestReversionWitness:
+    """The parameter reversion re-checked from its output alone, with
+    series products and comparisons: phi solves its equation on its whole
+    window at its precision, and the wide read's phi cut to the narrow
+    window is the narrow read's phi."""
+
+    @staticmethod
+    def presented(b1, b2):
+        eq1, eq2 = EQ33[b1], EQ33[b2]
+        hi = oracle._default_hi(eq1, eq2)
+        return [dict(oracle._conductor_once(eq1, TD33[b1], eq2, TD33[b2],
+                                            w, wide)[2].stage_log)
+                ["presented_parameter"]
+                for w, wide in ((hi, False), (2 * hi, True))]
+
+    @pytest.mark.parametrize("b1,b2", [("h1", "h2"), ("mu2", "h1")])
+    def test_presented_parameter(self, b1, b2):
+        s = TD33[b1].parameter_change
+        x = RLaurent.monomial(R33, 1, prec=s.prec)
+        narrow, wide = self.presented(b1, b2)
+        assert narrow.hi < wide.hi
+        for phi in (narrow, wide):
+            resid = phi * substitute(s, phi) - x
+            assert (resid.hi, resid.prec) == (phi.hi, phi.prec)
+            assert resid.is_zero()
+        assert (wide.restrict(hi=narrow.hi) - narrow).is_zero()
+
+    @pytest.mark.parametrize("ring,terms", [
+        (R33, {-4: 1, -2: 2, -1: 1}), (R93, {-7: 2, -5: 1, -1: 1})])
+    def test_original_parameter(self, ring, terms):
+        td = classify(etale(ring, terms, hi=30))
+        sbar = td.parameter_change.residue()
+        assert len(sbar.coeffs) > 1
+        t, _ = oracle._original_parameter_k(td, 57)
+        resid = t * ksubstitute(sbar, t) - parameter_expansion(td, hi=57)
+        assert t.hi == resid.hi == 57
+        assert resid.is_zero()
+
+
 REDUCED = [
     ("et5", "et2", True),
     ("et2", "mu2", True),
@@ -309,6 +349,20 @@ class TestDiagnostics:
         got = oracle_conductor(EQ33["mu2"], EQ33["mu4"],
                                check_stability=False)
         assert got == (4, hn(2))
+
+
+@pytest.mark.parametrize("eq1,eq2,read", [
+    (etale(R33, {-5: 1}), etale(R33, {-5: 1, -2: 1}), (-2, ETALE)),
+    (kummer(R33, {0: 1, 2: 1}), kummer(R33, {0: 1, 2: 1, 3: 1}), (5, hn(2))),
+    (level(R33, {1: 1, 2: 1}, n=1), level(R33, {1: 1, 2: 2}, n=1), (2, None)),
+], ids=["etale", "mu_p", "hn"])
+def test_equal_tags_and_conductors_leave_the_table(eq1, eq2, read):
+    # the leads meet, so the reading comes from where the covers differ;
+    # this is why the CLI's closed form refuses such pairs
+    td1, td2 = classify(eq1), classify(eq2)
+    assert (td1.group_tag, td1.m) == (td2.group_tag, td2.m)
+    res = propagate(PPInput(td1, td2, R33))
+    assert oracle_conductor(eq1, eq2) == read != (res.m1p, res.g1p)
 
 
 @settings(max_examples=30, deadline=None)
