@@ -136,6 +136,11 @@ class Fq:
                 row = [(row[i] + top * rows[0][i]) % p for i in range(s)]
             rows.append(tuple(row))
         self._fold = rows
+        # x^{s+j} of a packed product as (s+j, indices, factors)
+        self.digit_fold = tuple(
+            (s + j, tuple(i for i, f in enumerate(row) if f),
+             tuple(f for f in row if f))
+            for j, row in enumerate(rows[:s - 1]))
         self.zero = (0,) * s
         self.one = tuple([1] + [0] * (s - 1))
 
@@ -251,6 +256,7 @@ class RingDescriptor:
     gr_modulus: tuple
     gr_fold: tuple
     fold: tuple
+    digit_fold: tuple
 
     def __repr__(self):
         return f"RingDescriptor(p={self.p}, r={self.r}, s={self.s}, M={self.M})"
@@ -405,6 +411,7 @@ def _make_ring_cached(p, r, s, M):
         p=p, r=r, s=s, M=M, e=e, v_lambda=r,
         eisenstein=tuple(eis), field=field, pM=pM,
         gr_modulus=gr_modulus, gr_fold=tuple(gr_rows), fold=(),
+        digit_fold=(),
     )
 
     # pi fold rows: pi^{e+j} for j = 0..e-2, as GR coefficient vectors.
@@ -425,6 +432,7 @@ def _make_ring_cached(p, r, s, M):
                    for i in range(e)]
         rows.append(tuple(row))
     object.__setattr__(ring, "fold", tuple(rows))
+    object.__setattr__(ring, "digit_fold", _digit_fold(ring))
 
     coeffs = [zero] * e
     coeffs[0] = ring.gr_one()
@@ -436,6 +444,41 @@ def _make_ring_cached(p, r, s, M):
     object.__setattr__(ring, "_unit_E", unit_e)
     object.__setattr__(ring, "_unit_E_inv", unit_e.inverse())
     return ring
+
+
+def _digit_fold(ring) -> tuple:
+    """How the overflow digits of a packed product fold back into R.
+
+    With y the generator of GR(p^M, s), an element packs pi^t y^k as digit
+    t*(2s-1) + k, and the product of two packed elements has
+    (2e-1)*(2s-1) digits in the same layout.  Digits with t < e and k < s
+    are coordinate k of pi-slot t, index t*s + k, as they stand.  Every
+    other digit d appears once as (d, indices, factors), factors mod p^M,
+    adding factor * digit to each index: y^{s+j} folds through gr_fold,
+    pi^{e+j} through fold, and a digit past both does both.
+    """
+    e, s, pM = ring.e, ring.s, ring.pM
+    zero = ring.gr_zero()
+
+    def times_y(g):  # y^s = gr_fold[0]
+        return tuple(((g[j - 1] if j else 0) + g[-1] * ring.gr_fold[0][j])
+                     % pM for j in range(s))
+
+    out = []
+    for t in range(2 * e - 1):
+        pi_t = ring.fold[t - e] if t >= e else \
+            [ring.gr_one() if i == t else zero for i in range(e)]
+        slots = [(i, g) for i, g in enumerate(pi_t) if any(g)]
+        for k in range(2 * s - 1):
+            if k:
+                slots = [(i, times_y(g)) for i, g in slots]
+            if t >= e or k >= s:
+                pairs = [(i * s + j, c) for i, g in slots
+                         for j, c in enumerate(g) if c]
+                out.append((t * (2 * s - 1) + k,
+                            tuple(i for i, _ in pairs),
+                            tuple(c for _, c in pairs)))
+    return tuple(out)
 
 
 class RElem:

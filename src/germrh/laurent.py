@@ -15,14 +15,26 @@ exponent are negligible, and negligible times integral stays negligible,
 so only untracked-times-stored terms limit the trustworthy range.  All
 window exhaustion is a loud error; nothing is truncated silently.
 
-Multiplication packs a whole series into one big integer (one byte-aligned
-digit per basis slot per exponent) so the convolution runs inside a single
-integer product; gmpy2 supplies the fast multiply when available.
+Each series type has one multiply for every residue degree s, a Kronecker
+substitution: the whole series becomes one big integer and the convolution
+runs inside a single integer product (gmpy2 supplies it when installed).
+The coefficient ring is a second Kronecker variable.  Over R an exponent
+takes (2e-1)*(2s-1) digits, and pi^t y^k of a coefficient (y the generator
+of GR(p^M, s)) sits at digit t*(2s-1) + k, leaving room for the unreduced
+product of two coefficients; over F_{p^s} an exponent takes 2s-1 digits
+with x^k at digit k.  Digits are 1, 2, 4 or 8 bytes wide, or 8-byte limbs
+beyond that, so the product unpacks in one pass.  The digits with t < e
+and k < s are the product's coordinates as they stand, and a fold map
+built once per ring (RingDescriptor.digit_fold, Fq.digit_fold) adds every
+other digit, times a factor, to the coordinates it reduces to through the
+Galois-ring modulus and the Eisenstein relation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 from .dvr_core import Fq, RElem, RingDescriptor
@@ -33,10 +45,36 @@ try:
     def _bigmul(a: int, b: int) -> int:
         return int(_mpz(a) * _mpz(b))
 except ImportError:
-    # Taken whenever gmpy2 is not installed; the baseline figures in
-    # perfbench/README.md were measured on this plain-int product.
+    # gmpy2 is the optional `fast` extra (pyproject.toml).  Without it the
+    # product is Python's own; every figure in perfbench/README.md and the
+    # BENCH_*.json files was measured on this plain-int product.
     def _bigmul(a: int, b: int) -> int:
         return a * b
+
+
+# array typecode per item size in bytes
+_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _digit_width(bound: int) -> int:
+    """Bytes per packed digit holding values up to bound: 1, 2, 4 or 8,
+    or a multiple of 8 read as 8-byte limbs."""
+    nbytes = (bound.bit_length() + 7) // 8
+    if nbytes > 8:
+        return -(-nbytes // 8) * 8
+    return 1 << (nbytes - 1).bit_length()
+
+
+def _unpack(P: int, ndigits: int, width: int):
+    """The ndigits digits of P in base 2^(8*width), lowest first, as an
+    array, or as a list when they are wider than 8 bytes."""
+    words = array(_CODES[min(width, 8)], P.to_bytes(ndigits * width, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    if width <= 8:
+        return words
+    limbs = [words[j::width // 8].tolist() for j in range(width // 8)]
+    return [sum(w << (64 * j) for j, w in enumerate(ws)) for ws in zip(*limbs)]
 
 
 INF_EXP = 10 ** 9
@@ -78,6 +116,11 @@ def _square_multiply(base, n: int, one):
             base = base * base
         n >>= 1
     return result
+
+
+def _exp_str(x: int) -> str:
+    """An exponent bound as printed: the clamped sentinels read as +-inf."""
+    return "inf" if x >= INF_EXP else "-inf" if x <= -INF_EXP else str(x)
 
 
 def _clamp_exp(x: int) -> int:
@@ -157,8 +200,8 @@ class RLaurent:
 
     def __repr__(self):
         n = len(self.coeffs)
-        return (f"<RLaurent {n} terms on [{self.lo}, {self.hi}] "
-                f"mod pi^{self.prec}>")
+        return (f"<RLaurent {n} terms on [{_exp_str(self.lo)}, "
+                f"{_exp_str(self.hi)}] mod pi^{self.prec}>")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -232,10 +275,7 @@ class RLaurent:
         hi = _product_hi(self, other)
         if not (self.coeffs and other.coeffs):
             return RLaurent(self.ring, {}, min(lo, hi), hi, prec)
-        if self.ring.s == 1:
-            out = _packed_mul_r(self.ring, self.coeffs, other.coeffs, prec)
-        else:
-            out = _schoolbook_mul_r(self.coeffs, other.coeffs)
+        out = _packed_mul_r(self.ring, self.coeffs, other.coeffs)
         return RLaurent(self.ring, out, lo, hi, prec)
 
     def __pow__(self, n: int):
@@ -265,73 +305,45 @@ class RLaurent:
         return best, self.coeffs[best]
 
 
-def _schoolbook_mul_r(A: dict, B: dict) -> dict:
-    out = {}
-    for i, a in A.items():
-        for j, b in B.items():
-            k = i + j
-            cur = out.get(k)
-            prod = a * b
-            out[k] = prod if cur is None else cur + prod
-    return out
-
-
-def _packed_mul_r(ring, A: dict, B: dict, prec: int) -> dict:
-    """Kronecker-style multiplication for s = 1.
-
-    Each stored exponent occupies 2e-1 byte-aligned digit slots (room for
-    the unreduced pi-degree), so the whole convolution is one big-integer
-    product; pi-overflow slots are folded through the Eisenstein relation
-    afterwards.
-    """
-    e = ring.e
-    pM = ring.pM
-    sa, ha = min(A), max(A)
-    sb, hb = min(B), max(B)
-    la = ha - sa + 1
-    lb = hb - sb + 1
-    row = 2 * e - 1
-    bound = min(la, lb) * e * (pM - 1) ** 2
-    bw = (bound.bit_length() + 7) // 8
+def _packed_mul_r(ring, A: dict, B: dict) -> dict:
+    """Kronecker multiplication over R in the module docstring's layout;
+    the product is read as one column per digit across exponents."""
+    e, s, pM = ring.e, ring.s, ring.pM
+    step = 2 * s - 1
+    row = (2 * e - 1) * step
+    sa, sb = min(A), min(B)
+    la, lb = max(A) - sa + 1, max(B) - sb + 1
+    width = _digit_width(min(la, lb) * e * s * (pM - 1) ** 2)
 
     def pack(coeffs, smin, length):
-        buf = bytearray(length * row * bw)
+        buf = bytearray(length * row * width)
         for exp, c in coeffs.items():
-            base = (exp - smin) * row * bw
-            cc = c.coeffs
-            for i in range(e):
-                v = cc[i][0]
-                if v:
-                    off = base + i * bw
-                    buf[off:off + bw] = v.to_bytes(bw, "little")
+            base = (exp - smin) * row
+            for t, g in enumerate(c.coeffs):
+                for k, v in enumerate(g):
+                    if v:
+                        off = (base + t * step + k) * width
+                        buf[off:off + width] = v.to_bytes(width, "little")
         return int.from_bytes(buf, "little")
 
-    P = _bigmul(pack(A, sa, la), pack(B, sb, lb))
     nout = la + lb - 1
-    pbytes = P.to_bytes(nout * row * bw + 16, "little")
-    fold = ring.fold
-    full = ring.e * ring.M
+    words = _unpack(_bigmul(pack(A, sa, la), pack(B, sb, lb)), nout * row,
+                    width)
+    cols = [words[d::row] for d in range(row)]
+    acc = [cols[t * step + k] for t in range(e) for k in range(s)]
+    for d, indices, factors in ring.digit_fold:
+        col = cols[d]
+        if any(col):
+            for i, f in zip(indices, factors):
+                acc[i] = [a + x * f for a, x in zip(acc[i], col)]
+    full = e * ring.M
     out = {}
-    for n in range(nout):
-        base = n * row * bw
-        chunk = pbytes[base:base + row * bw]
-        if not any(chunk):
-            continue
-        vec = [0] * e
-        for slot in range(row):
-            d = int.from_bytes(chunk[slot * bw:(slot + 1) * bw], "little")
-            if d:
-                d %= pM
-                if slot < e:
-                    vec[slot] = (vec[slot] + d) % pM
-                else:
-                    frow = fold[slot - e]
-                    for i in range(e):
-                        f = frow[i][0]
-                        if f:
-                            vec[i] = (vec[i] + d * f) % pM
+    for n, vec in enumerate(zip(*acc)):
         if any(vec):
-            out[n + sa + sb] = RElem(ring, tuple((v,) for v in vec), full)
+            vec = [v % pM for v in vec]
+            if any(vec):
+                out[n + sa + sb] = RElem(ring, tuple(zip(*[iter(vec)] * s)),
+                                         full)
     return out
 
 
@@ -372,7 +384,8 @@ class KLaurent:
         return KLaurent.from_terms(field, {exp: coeff})
 
     def __repr__(self):
-        return f"<KLaurent {len(self.coeffs)} terms, hi={self.hi}>"
+        return (f"<KLaurent {len(self.coeffs)} terms, "
+                f"hi={_exp_str(self.hi)}>")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -429,17 +442,7 @@ class KLaurent:
         hi = _product_hi(self, other)
         if not (self.coeffs and other.coeffs):
             return KLaurent(F, {}, hi)
-        if F.s == 1:
-            out = _packed_mul_k(F, self.coeffs, other.coeffs)
-        else:
-            out = {}
-            for i, a in self.coeffs.items():
-                for j, b in other.coeffs.items():
-                    k = i + j
-                    prod = F.mul(a, b)
-                    cur = out.get(k)
-                    out[k] = prod if cur is None else F.add(cur, prod)
-        return KLaurent(F, out, hi)
+        return KLaurent(F, _packed_mul_k(F, self.coeffs, other.coeffs), hi)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -500,30 +503,33 @@ class KLaurent:
 
 
 def _packed_mul_k(field: Fq, A: dict, B: dict) -> dict:
-    """Kronecker multiplication over F_p: one byte-aligned digit per
-    exponent, one big-integer product for the whole convolution."""
-    p = field.p
-    sa, ha = min(A), max(A)
-    sb, hb = min(B), max(B)
-    la, lb = ha - sa + 1, hb - sb + 1
-    bound = min(la, lb) * (p - 1) * (p - 1)
-    bw = (bound.bit_length() + 7) // 8
-    abuf = bytearray(la * bw)
-    for e, c in A.items():
-        abuf[(e - sa) * bw:(e - sa) * bw + bw] = c[0].to_bytes(bw, "little")
-    bbuf = bytearray(lb * bw)
-    for e, c in B.items():
-        bbuf[(e - sb) * bw:(e - sb) * bw + bw] = c[0].to_bytes(bw, "little")
-    P = _bigmul(int.from_bytes(bytes(abuf), "little"),
-                int.from_bytes(bytes(bbuf), "little"))
+    """Kronecker multiplication over F_{p^s} in the module docstring's
+    layout; the product is read as one column per digit across exponents."""
+    p, s = field.p, field.s
+    step = 2 * s - 1
+    sa, sb = min(A), min(B)
+    la, lb = max(A) - sa + 1, max(B) - sb + 1
+    width = _digit_width(min(la, lb) * s * (p - 1) ** 2)
+
+    def pack(coeffs, smin, length):
+        buf = bytearray(length * step * width)
+        for exp, c in coeffs.items():
+            base = (exp - smin) * step
+            for k, v in enumerate(c):
+                if v:
+                    off = (base + k) * width
+                    buf[off:off + width] = v.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+
     nout = la + lb - 1
-    raw = P.to_bytes(nout * bw + 16, "little")
-    out = {}
-    for n in range(nout):
-        v = int.from_bytes(raw[n * bw:(n + 1) * bw], "little") % p
-        if v:
-            out[n + sa + sb] = field.element((v,))
-    return out
+    words = _unpack(_bigmul(pack(A, sa, la), pack(B, sb, lb)), nout * step,
+                    width)
+    cols = [words[k::step] for k in range(step)]
+    for d, indices, factors in field.digit_fold:
+        for i, f in zip(indices, factors):
+            cols[i] = [a + x * f for a, x in zip(cols[i], cols[d])]
+    coeffs = zip(*[[v % p for v in col] for col in cols[:s]])
+    return {n + sa + sb: c for n, c in enumerate(coeffs) if any(c)}
 
 
 # ---------------------------------------------------------------------------

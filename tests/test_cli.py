@@ -79,6 +79,25 @@ tower:
 """
 
 
+MU2_H1 = """\
+ring:
+  p: 3
+  r: 3
+  M: 4
+cover:
+  kind: kummer
+  terms:
+    0: 1
+    2: 1
+cover:
+  kind: hn
+  n: 1
+  terms:
+    1: 1
+    2: 1
+"""
+
+
 def lower(group, m, delta):
     return {"group": group, "m": m, "c": -m, "delta": delta}
 
@@ -180,6 +199,15 @@ def test_golden_json(argv, text, want, tmp_path, capsys):
     assert json.loads(out) == want
 
 
+def test_trace_prints_open_windows_as_inf(tmp_path, capsys):
+    # the ring route's parameter has no lower window bound
+    code, out, err = run(["propagate", "--oracle", "--trace", "--spec",
+                          write(tmp_path, MU2_H1), "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert "1000000000" not in out
+    assert "on [-inf, 13] mod pi^11" in out
+
+
 class TestVerify:
     def test_file_pair_matches_like_a_grid_cell(self, tmp_path, capsys):
         spec = write(tmp_path, PAIR)
@@ -240,6 +268,19 @@ class TestVerify:
         assert report["summary"] == {"total": 3, "match": 2, "mismatch": 1,
                                      "unstable": 0}
         assert code == 2
+
+    def test_grid_at_s2_reads_as_at_s1(self):
+        """Every preset cell re-ringed to GR(p^M, 2), as the benchmark's
+        s2 workload does: an unramified extension of the base changes no
+        conductor or tag, so each row equals its s = 1 row but for ring."""
+        for cell in cli._grid_cells("all"):
+            p, r, _, M = cell.ring_args
+            want = cli._run_cell(cell, None)
+            got = cli._run_cell(dataclasses.replace(
+                cell, ring_args=(p, r, 2, M)), None)
+            assert (want.pop("ring"), got.pop("ring")) == (
+                f"p{p} r{r} s1", f"p{p} r{r} s2")
+            assert got == want, cell.label
 
     def test_grid_rejects_precision(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_grid_cells", lambda preset: [])

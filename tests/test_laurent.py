@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germrh.dvr_core import make_ring, val
+from germrh.dvr_core import RElem, make_ring, val
 from germrh.laurent import (
     INF_EXP,
     KLaurent,
@@ -29,6 +29,10 @@ R32 = make_ring(3, 2, 1, 6)
 R33 = make_ring(3, 3, 1, 8)
 R52 = make_ring(5, 2, 1, 6)
 RS2 = make_ring(3, 2, 2, 4)
+RS3 = make_ring(3, 2, 3, 3)
+R2S2 = make_ring(2, 3, 2, 5)
+# p^M has 39 bits, so a product digit needs more than 8 bytes
+RWIDE = make_ring(3, 2, 1, 24)
 
 
 def random_series(ring, rng, lo=-4, hi=6, density=0.6):
@@ -39,6 +43,14 @@ def random_series(ring, rng, lo=-4, hi=6, density=0.6):
     if not terms:
         terms[0] = ring.one()
     return RLaurent.from_terms(ring, terms, lo=lo, hi=hi)
+
+
+def random_elem(ring, rng):
+    """A full-precision element with every pi-slot and coordinate drawn,
+    zeros included."""
+    return RElem(ring, tuple(tuple(rng.randrange(ring.pM)
+                                   for _ in range(ring.s))
+                             for _ in range(ring.e)), ring.e * ring.M)
 
 
 def random_kseries(field, rng, lo=-5, hi=6, density=0.6):
@@ -88,6 +100,13 @@ class TestWindows:
         assert u.shift(-4).hi == INF_EXP
         assert (u.hi, u.lo) == (INF_EXP, 1)
 
+    def test_repr_prints_the_sentinels_as_inf(self):
+        assert repr(RLaurent.zero(R32)) == \
+            "<RLaurent 0 terms on [-inf, inf] mod pi^24>"
+        assert repr(RLaurent.from_terms(R32, {1: 1}, hi=5)) == \
+            "<RLaurent 1 terms on [1, 5] mod pi^24>"
+        assert repr(KLaurent.zero(R32.field)) == "<KLaurent 0 terms, hi=inf>"
+
     def test_insufficient_coefficient_precision_rejected(self):
         c = R32.one().with_prec(3)
         with pytest.raises(ValueError, match="series precision"):
@@ -95,12 +114,15 @@ class TestWindows:
 
 
 class TestMultiplication:
-    @pytest.mark.parametrize("ring", [R32, R52, RS2])
+    @pytest.mark.parametrize("ring", [R32, R52, RS2, RS3, R2S2, RWIDE])
     def test_matches_direct_convolution(self, ring):
+        # element products by RElem.__mul__, independent of the kernel
         rng = random.Random(11)
         for _ in range(8):
-            a = random_series(ring, rng)
-            b = random_series(ring, rng)
+            a, b = (RLaurent.from_terms(ring, {
+                exp: random_elem(ring, rng) for exp in range(-4, 7)
+                if rng.random() < 0.6} or {0: 1}, lo=-4, hi=6)
+                for _ in range(2))
             prod = a * b
             for exp in range(prod.lo, prod.hi + 1):
                 direct = ring.zero(prod.prec)
@@ -312,8 +334,9 @@ class TestSubstitute:
 
 
 class TestKLaurent:
-    def test_mul_matches_schoolbook(self):
-        F = R32.field
+    @pytest.mark.parametrize("F", [R32.field, RS2.field, RS3.field],
+                             ids=["s1", "s2", "s3"])
+    def test_mul_matches_schoolbook(self, F):
         rng = random.Random(3)
         for _ in range(10):
             a = random_kseries(F, rng)
